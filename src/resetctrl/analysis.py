@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .dynamics import ResetSchedule, cycle_map, evolve_with_resets
+from .dynamics import SUPEROP_PATH_MAX_DIM, ResetSchedule, cycle_map, evolve_with_resets
 from .generators import (
     CycleGenerator,
     SwitchingFunction,
@@ -35,7 +35,6 @@ from .qcore import (
     vec,
 )
 
-SUPEROP_DIM_LIMIT = 16
 _PROBE_SEED = 7
 _N_RANDOM_PROBES = 100
 
@@ -144,10 +143,10 @@ def induced_trace_norm(matrix: np.ndarray, dim: int, probes=None) -> float:
 
 
 def _check_superop_path(gen: CycleGenerator):
-    if gen.total_dim > SUPEROP_DIM_LIMIT:
+    if gen.total_dim > SUPEROP_PATH_MAX_DIM:
         raise ValueError(
             f"joint dimension {gen.total_dim} too large for the superoperator path "
-            f"(limit {SUPEROP_DIM_LIMIT})"
+            f"(limit {SUPEROP_PATH_MAX_DIM})"
         )
 
 

@@ -1,10 +1,13 @@
 """Propagation of the bipartite system through evolve-and-reset cycles.
 
 The intra-cycle propagator is approximated by an ordered product of
-substep exponentials with the switching function frozen at each substep
-midpoint (exponential midpoint rule, second order in the substep width).
-Each factor is an exact channel whenever the instantaneous generator is
-of Lindblad form, so complete positivity is preserved per substep.
+substep exponentials. Closed cycles use the two-point Gauss Magnus-4
+step (fourth order in the substep width): its exponent is
+anti-Hermitian, so every factor is exactly unitary. Open cycles use the
+exponential midpoint rule (second order), with the switching function
+frozen at each substep midpoint: each factor is an exact channel
+whenever the instantaneous generator is of Lindblad form, so complete
+positivity is preserved per substep.
 
 Two execution paths exist: a dense-superoperator path for small joint
 dimensions (analysis consumption) and a state-propagation path that
@@ -20,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .generators import CycleGenerator
+from .generators import CycleGenerator, _reduced_super
 from .qcore import (
     ConvergenceError,
     DensityMatrix,
@@ -38,6 +41,11 @@ DEFAULT_STEP_TOL = 1e-9
 DEFAULT_SUBSTEP_CAP = 2 ** 14
 SUPEROP_PATH_MAX_DIM = 16
 CUTOFF_POPULATION_LIMIT = 1e-6
+
+# Magnus-4: two-point Gauss nodes at +-sqrt(3)/6 of a substep from its
+# centre, and the weight of the commutator term
+_GAUSS_OFFSET = np.sqrt(3.0) / 6.0
+_MAGNUS_WEIGHT = np.sqrt(3.0) / 12.0
 
 # trajectory states are valid by construction up to accumulated roundoff
 _STATE_TOLS = dict(tol_herm=1e-9, tol_trace=1e-9, tol_psd=1e-7)
@@ -106,8 +114,23 @@ def _midpoint_zetas(a_frac: float, b_frac: float, substeps: int) -> np.ndarray:
 # substep factor construction
 
 
-def _closed_step(gen: CycleGenerator, zeta: float, h: float) -> np.ndarray:
-    return expm_hermitian(gen.hamiltonian_at(zeta), -1j * h)
+def _closed_step(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) -> np.ndarray:
+    """Magnus-4 factor for the substep of width ``dzeta`` centred at ``zeta``.
+
+    With Gauss nodes z_pm = zeta +- dzeta sqrt(3)/6 and h = dzeta dt the
+    factor is exp(-i K), K = (h/2)(H(z_+) + H(z_-)) + (sqrt(3)/12) h^2
+    (g(z_+) - g(z_-)) i[H_free, H_SA]. K is Hermitian, so the factor is
+    exactly unitary and costs one eigendecomposition.
+    """
+    h = dzeta * dt
+    g_lo = gen.g(zeta - _GAUSS_OFFSET * dzeta)
+    g_hi = gen.g(zeta + _GAUSS_OFFSET * dzeta)
+    k = (
+        h * gen.h_free_full
+        + (0.5 * h * (g_lo + g_hi)) * gen.h_SA.matrix
+        + (_MAGNUS_WEIGHT * h * h * (g_hi - g_lo)) * gen.h_commutator_full
+    )
+    return expm_hermitian(k, -1j)
 
 
 def _open_step_super(gen: CycleGenerator, zeta: float, h: float) -> np.ndarray:
@@ -157,7 +180,7 @@ def _open_step_matvec(gen: CycleGenerator, zeta: float, h: float, rho: np.ndarra
 
 
 def cycle_unitary(gen: CycleGenerator, dt: float, substeps: int) -> np.ndarray:
-    """Joint-space unitary for one closed cycle (midpoint substep rule)."""
+    """Joint-space unitary for one closed cycle (Magnus-4 substep rule)."""
     if not gen.is_closed:
         raise ValueError("cycle_unitary requires a closed (jump-free) generator")
     if dt < 0 or substeps < 1:
@@ -166,9 +189,8 @@ def cycle_unitary(gen: CycleGenerator, dt: float, substeps: int) -> np.ndarray:
     u = np.eye(d, dtype=complex)
     if dt == 0.0:
         return u
-    h = dt / substeps
     for zeta in _midpoint_zetas(0.0, 1.0, substeps):
-        u = _closed_step(gen, zeta, h) @ u
+        u = _closed_step(gen, zeta, 1.0 / substeps, dt) @ u
     return u
 
 
@@ -177,20 +199,20 @@ def cycle_propagator(
 ) -> SuperOperator:
     """Time-ordered intra-cycle propagator on the joint space.
 
-    ``method`` selects the generic superoperator product ("superop") or
-    the closed-system unitary-conjugation fast path ("unitary"); "auto"
-    picks the fast path whenever the generator is closed.
+    ``method`` selects the unitary-conjugation form ("unitary", closed
+    generators only) or the superoperator product ("superop"); "auto"
+    picks by generator. A closed generator gives the same Magnus-4
+    factors either way, as the conjugation superoperator of its cycle
+    unitary; an open one takes midpoint-rule superoperator factors.
     """
     if dt < 0 or substeps < 1:
         raise ValueError("need dt >= 0 and substeps >= 1")
+    if method not in ("auto", "unitary", "superop"):
+        raise ValueError(f"unknown method {method!r}")
     space = gen.space
-    if method == "auto":
-        method = "unitary" if gen.is_closed else "superop"
-    if method == "unitary":
+    if gen.is_closed or method == "unitary":
         u = cycle_unitary(gen, dt, substeps)
         return SuperOperator(np.kron(u.conj(), u), space)
-    if method != "superop":
-        raise ValueError(f"unknown method {method!r}")
     d2 = gen.total_dim ** 2
     p = np.eye(d2, dtype=complex)
     if dt == 0.0:
@@ -223,22 +245,6 @@ def _refine_doubling(
     raise ConvergenceError(f"{what} did not converge by substep cap {cap}", resid, s)
 
 
-def _compress_to_system(
-    apply_joint: Callable[[np.ndarray], np.ndarray],
-    rho_A: np.ndarray,
-    d_s: int,
-    d_a: int,
-) -> np.ndarray:
-    """Reduce a joint-space map to the system: tr_A o map o (. kron rho_A)."""
-    m = np.empty((d_s * d_s, d_s * d_s), dtype=complex)
-    for idx in range(d_s * d_s):
-        e = np.zeros((d_s, d_s), dtype=complex)
-        e[idx % d_s, idx // d_s] = 1.0
-        out = apply_joint(np.kron(e, rho_A))
-        m[:, idx] = vec(partial_trace_matrix(out, (d_s, d_a), keep=0))
-    return m
-
-
 def cycle_map(
     gen: CycleGenerator,
     rho_A: DensityMatrix,
@@ -255,7 +261,6 @@ def cycle_map(
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
     if dt == 0.0:
         return SuperOperator.identity(gen.space_S)
     if not gen.is_closed and gen.total_dim > SUPEROP_PATH_MAX_DIM:
@@ -286,8 +291,7 @@ def cycle_map(
     else:
         d = gen.total_dim
         apply_joint = lambda m: unvec(prop @ vec(m), d)
-    reduced = _compress_to_system(apply_joint, rho_A.matrix, d_s, d_a)
-    return SuperOperator(reduced, gen.space_S)
+    return SuperOperator(_reduced_super(gen, rho_A, apply_joint), gen.space_S)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +325,14 @@ class _CycleKernel:
         return [max(1, round(f * self.substeps)) for f in self.fractions]
 
     def _build_partials(self) -> list[np.ndarray]:
-        gen, s = self.gen, self.substeps
-        h = self.gap / s
+        gen, s, gap = self.gen, self.substeps, self.gap
         marks = set(self._sample_indices())
         if self.kind == "unitary":
             acc = np.eye(gen.total_dim, dtype=complex)
-            step = lambda z: _closed_step(gen, z, h)
+            step = lambda z: _closed_step(gen, z, 1.0 / s, gap)
         else:
             acc = np.eye(gen.total_dim ** 2, dtype=complex)
-            step = lambda z: _open_step_super(gen, z, h)
+            step = lambda z: _open_step_super(gen, z, gap / s)
         partials = []
         for k, zeta in enumerate(_midpoint_zetas(0.0, 1.0, s), start=1):
             acc = step(zeta) @ acc
@@ -529,13 +532,14 @@ def _propagate_segment(
     small = d <= SUPEROP_PATH_MAX_DIM
 
     def run(s: int) -> np.ndarray:
-        h = (b - a) / s
         if closed:
+            dzeta = (b_frac - a_frac) / s
             out = joint
             for zeta in _midpoint_zetas(a_frac, b_frac, s):
-                u = _closed_step(gen, zeta, h)
+                u = _closed_step(gen, zeta, dzeta, dt)
                 out = u @ out @ u.conj().T
             return out
+        h = (b - a) / s
         if small:
             v = vec(joint)
             for zeta in _midpoint_zetas(a_frac, b_frac, s):

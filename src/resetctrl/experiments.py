@@ -28,7 +28,7 @@ from .analysis import (
     braced_switching_term,
 )
 from .config import ConfigError, ExperimentConfig
-from .dynamics import ResetSchedule, evolve_with_resets
+from .dynamics import SUPEROP_PATH_MAX_DIM, ResetSchedule, evolve_with_resets
 from .generators import effective_hamiltonian
 from .models import SIGMA_X, SIGMA_Y, SIGMA_Z, number_operator, quadrature_p, quadrature_x
 from .qcore import fidelity_pure, trace_norm
@@ -43,8 +43,6 @@ EXPERIMENT_KINDS = (
     "gradual",
     "lie",
 )
-
-_ANALYSIS_DIM_LIMIT = 16
 
 
 class InvariantViolationError(RuntimeError):
@@ -94,9 +92,9 @@ def _effective_evolver(h_eff: np.ndarray):
 
 
 def _require_small(gen, kind: str):
-    if gen.total_dim > _ANALYSIS_DIM_LIMIT:
+    if gen.total_dim > SUPEROP_PATH_MAX_DIM:
         raise ConfigError(
-            f"{kind} needs joint dimension <= {_ANALYSIS_DIM_LIMIT}; "
+            f"{kind} needs joint dimension <= {SUPEROP_PATH_MAX_DIM}; "
             f"use the qubit_qubit model kind"
         )
 

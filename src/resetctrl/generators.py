@@ -173,6 +173,16 @@ class CycleGenerator:
         return np.kron(self.h_S.matrix, np.eye(d_a)) + np.kron(np.eye(d_s), self.h_A.matrix)
 
     @cached_property
+    def h_commutator_full(self) -> np.ndarray:
+        """i[H_free, H_SA]: the Hermitian direction of the Magnus-4 correction.
+
+        H(zeta) = H_free + g(zeta) H_SA, so [H(z2), H(z1)] is this one
+        constant matrix times i (g(z2) - g(z1)) for any pair of times.
+        """
+        h_free, h_sa = self.h_free_full, self.h_SA.matrix
+        return 1j * (h_free @ h_sa - h_sa @ h_free)
+
+    @cached_property
     def jumps_free_full(self) -> tuple[np.ndarray, ...]:
         d_s, d_a = self.space_S.total_dim, self.space_A.total_dim
         embedded = [np.kron(l.matrix, np.eye(d_a)) for l in self.jumps_S]
@@ -193,9 +203,6 @@ class CycleGenerator:
     def apply_coupling_liouvillian(self, m: np.ndarray) -> np.ndarray:
         """L_SA applied to a joint-space matrix (without the g factor)."""
         return _apply_lindblad(self.h_SA.matrix, self.jumps_coupling_full, m)
-
-    def liouvillian_at(self, zeta: float, m: np.ndarray) -> np.ndarray:
-        return self.apply_free_liouvillian(m) + self.g(zeta) * self.apply_coupling_liouvillian(m)
 
     @cached_property
     def free_super(self) -> SuperOperator:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, InitVar
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -374,7 +373,3 @@ def is_cptp(
         return False
     reduced = partial_trace_matrix(choi, (d, d), keep=0)
     return bool(np.max(np.abs(reduced - np.eye(d))) <= tol_trace)
-
-
-def tensor_all(ops: Sequence[Operator]) -> Operator:
-    return reduce(kron, ops)

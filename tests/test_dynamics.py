@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from resetctrl.analysis import fit_order
 from resetctrl.dynamics import (
@@ -13,7 +14,13 @@ from resetctrl.dynamics import (
     evolve_with_resets,
     intra_cycle_trajectory,
 )
-from resetctrl.generators import constant, effective_hamiltonian, phi1_super, sin_squared
+from resetctrl.generators import (
+    constant,
+    effective_hamiltonian,
+    phi1_super,
+    sin_squared,
+    square_pulse,
+)
 from resetctrl.qcore import (
     ConvergenceError,
     DensityMatrix,
@@ -22,6 +29,7 @@ from resetctrl.qcore import (
     expm_hermitian,
     is_cptp,
     mat_exp,
+    partial_trace_matrix,
     trace_distance,
     unvec,
     vec,
@@ -66,11 +74,22 @@ class TestCyclePropagator:
         p = cycle_propagator(gen, 1e-8, substeps=1)
         assert np.max(np.abs(p.matrix - np.eye(16))) <= 1e-6
 
-    def test_self_convergence_is_second_order(self):
+    def test_closed_self_convergence_is_fourth_order(self):
         gen, _ = generic_qq()
         dt = 0.5
         ladder = [4, 8, 16, 32, 64]
         props = [cycle_propagator(gen, dt, s).matrix for s in ladder]
+        widths = [dt / s for s in ladder]
+        diffs = [np.max(np.abs(a - b)) for a, b in zip(props, props[1:])]
+        report = fit_order(list(reversed(widths[:-1])), list(reversed(diffs)))
+        assert 3.8 <= report.fitted_order <= 4.2
+
+    def test_self_convergence_is_second_order(self, rng):
+        # open generators keep the midpoint rule
+        gen, _ = random_open_qq(rng)
+        dt = 0.5
+        ladder = [4, 8, 16, 32, 64]
+        props = [cycle_propagator(gen, dt, s, method="superop").matrix for s in ladder]
         widths = [dt / s for s in ladder]
         diffs = [np.max(np.abs(a - b)) for a, b in zip(props, props[1:])]
         report = fit_order(list(reversed(widths[:-1])), list(reversed(diffs)))
@@ -219,7 +238,7 @@ class TestEvolveWithResets:
         widths = [0.5 / s for s in ladder]
         diffs = [trace_distance(a, b) for a, b in zip(finals, finals[1:])]
         report = fit_order(list(reversed(widths[:-1])), list(reversed(diffs)))
-        assert 1.8 <= report.fitted_order <= 2.2
+        assert 3.8 <= report.fitted_order <= 4.2
 
     def test_interior_samples_recorded(self):
         gen, rho_a = generic_qq()
@@ -298,6 +317,73 @@ class TestIntraCycle:
         rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
         with pytest.raises(ValueError):
             intra_cycle_trajectory(gen, rho0, rho_a, 0.2, [0.3])
+
+
+class TestClosedAgainstExactSolutions:
+    def test_square_pulse_is_product_of_two_exponentials(self, rng):
+        gen, _ = random_closed_qq(rng)
+        gen = dataclasses.replace(gen, g=square_pulse(1.2, 0.0, 0.5))
+        dt = 0.7
+        coupled = gen.h_free_full + 1.2 * gen.h_SA.matrix
+        exact = expm_hermitian(gen.h_free_full, -0.5j * dt) @ expm_hermitian(coupled, -0.5j * dt)
+        for s in (2, 4, 8):
+            assert np.max(np.abs(cycle_unitary(gen, dt, s) - exact)) <= 1e-13
+
+    @staticmethod
+    def _oracle_unitary(gen, dt, t_end):
+        # i dU/dt = H(t / dt) U, integrated to t_end by an independent RK method
+        d = gen.total_dim
+
+        def rhs(t, y):
+            return (-1j * gen.hamiltonian_at(t / dt) @ y.reshape(d, d)).ravel()
+
+        sol = solve_ivp(
+            rhs, (0.0, t_end), np.eye(d, dtype=complex).ravel(),
+            method="DOP853", rtol=1e-13, atol=1e-13,
+        )
+        assert sol.success
+        return sol.y[:, -1].reshape(d, d)
+
+    @staticmethod
+    def _reduce(u, rho_s, rho_a):
+        out = u @ np.kron(rho_s, rho_a) @ u.conj().T
+        return partial_trace_matrix(out, (2, 2), keep=0)
+
+    @pytest.fixture
+    def sin_gen(self, rng):
+        gen, rho_a = random_closed_qq(rng)
+        return dataclasses.replace(gen, g=sin_squared(1.5)), rho_a
+
+    def test_cycle_unitary_is_fourth_order_against_oracle(self, sin_gen):
+        gen, _ = sin_gen
+        dt = 0.7
+        exact = self._oracle_unitary(gen, dt, dt)
+        ladder = [8, 16, 32, 64]
+        errors = [np.max(np.abs(cycle_unitary(gen, dt, s) - exact)) for s in ladder]
+        widths = [dt / s for s in ladder]
+        report = fit_order(list(reversed(widths)), list(reversed(errors)))
+        assert 3.8 <= report.fitted_order <= 4.2
+
+    def test_cycle_map_matches_oracle(self, sin_gen):
+        gen, rho_a = sin_gen
+        dt = 0.7
+        u = self._oracle_unitary(gen, dt, dt)
+        exact = np.empty((4, 4), dtype=complex)
+        for idx in range(4):
+            e = np.zeros((2, 2), dtype=complex)
+            e[idx % 2, idx // 2] = 1.0
+            exact[:, idx] = vec(self._reduce(u, e, rho_a.matrix))
+        m = cycle_map(gen, rho_a, dt, tol=1e-10)
+        assert np.max(np.abs(m.matrix - exact)) <= 1e-9
+
+    def test_intra_cycle_state_matches_oracle(self, sin_gen, rng):
+        gen, rho_a = sin_gen
+        dt = 0.7
+        rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
+        u = self._oracle_unitary(gen, dt, dt / 3)
+        exact = self._reduce(u, rho0.matrix, rho_a.matrix)
+        traj = intra_cycle_trajectory(gen, rho0, rho_a, dt, [dt / 3], step_tol=1e-10)
+        assert trace_distance(traj.states[-1].matrix, exact) <= 1e-9
 
 
 class TestLargeDimMatvecPath:
