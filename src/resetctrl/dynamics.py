@@ -1,13 +1,23 @@
 """Propagation of the bipartite system through evolve-and-reset cycles.
 
 The intra-cycle propagator is approximated by an ordered product of
-substep exponentials. Closed cycles use the two-point Gauss Magnus-4
-step (fourth order in the substep width): its exponent is
-anti-Hermitian, so every factor is exactly unitary. Open cycles use the
-exponential midpoint rule (second order), with the switching function
-frozen at each substep midpoint: each factor is an exact channel
-whenever the instantaneous generator is of Lindblad form, so complete
-positivity is preserved per substep.
+substep exponentials, fourth order in the substep width on every path.
+Both rules sample the switching function at the two Gauss nodes
+zeta -+ (sqrt(3)/6) dzeta of each substep. Closed cycles use the
+two-point Gauss Magnus-4 step: its exponent is anti-Hermitian, so every
+factor is exactly unitary. Open cycles use the two-exponential
+commutator-free Magnus-4 step (CF4; Blanes & Moan, Appl. Numer. Math.
+56, 1519 (2006)): exp((h/2)(L_free + c2 L_SA)) exp((h/2)(L_free + c1 L_SA)),
+with c1, c2 real weightings of the two node values of g. Each exponent
+is half of L_free plus a real multiple of L_SA, so every factor is an
+exact channel whenever the coupling has no jump operators, and also
+with coupling jumps whenever c1, c2 >= 0.
+
+The substep grid is aligned with the switching function: the interval
+is cut at the breakpoints of g (jumps and kinks), and at a kernel's
+sample times, and every piece gets the same number of uniform substeps.
+No substep straddles a discontinuity, so a piecewise-smooth g keeps the
+fourth order, and a piecewise-constant g is propagated exactly.
 
 Two execution paths exist: a dense-superoperator path for small joint
 dimensions (analysis consumption) and a state-propagation path that
@@ -23,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .generators import CycleGenerator, _reduced_super
+from .generators import CycleGenerator, SwitchingFunction, _reduced_super
 from .qcore import (
     ConvergenceError,
     DensityMatrix,
@@ -46,6 +56,12 @@ CUTOFF_POPULATION_LIMIT = 1e-6
 # centre, and the weight of the commutator term
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_WEIGHT = np.sqrt(3.0) / 12.0
+# CF4: weights of the earlier and the later node in the first exponent
+# (swapped in the second)
+_CF4_NEAR = 0.25 + np.sqrt(3.0) / 6.0
+_CF4_FAR = 0.25 - np.sqrt(3.0) / 6.0
+# breakpoints closer than this to a piece edge fall on the edge
+_BREAKPOINT_SLACK = 1e-12
 
 # trajectory states are valid by construction up to accumulated roundoff
 _STATE_TOLS = dict(tol_herm=1e-9, tol_trace=1e-9, tol_psd=1e-7)
@@ -105,9 +121,39 @@ class Trajectory:
             raise ValueError("times must be sorted ascending")
 
 
-def _midpoint_zetas(a_frac: float, b_frac: float, substeps: int) -> np.ndarray:
-    h = (b_frac - a_frac) / substeps
-    return a_frac + h * (np.arange(substeps) + 0.5)
+def _substep_grid(
+    g: SwitchingFunction, a: float, b: float, substeps: int, parts: int = 1
+) -> tuple[list[float], list[float], list[int]]:
+    """Substep centres and widths over the cycle fractions [a, b].
+
+    [a, b] is cut into ``parts`` equal parts (a kernel's sample
+    intervals), each part again at the breakpoints of g inside it, and
+    every piece gets ``substeps`` uniform substeps. Also returns the
+    number of substeps up to the end of each part. Without breakpoints
+    this is the uniform grid of ``parts * substeps`` substeps.
+    """
+    h = (b - a) / (parts * substeps)
+    centres: list[float] = []
+    widths: list[float] = []
+    ends = []
+    for k in range(parts):
+        lo, hi = a + (b - a) * k / parts, a + (b - a) * (k + 1) / parts
+        inner = sorted(
+            p for p in g.breakpoints if lo + _BREAKPOINT_SLACK < p < hi - _BREAKPOINT_SLACK
+        )
+        if inner:
+            cuts = [lo, *inner, hi]
+            for c0, c1 in zip(cuts, cuts[1:]):
+                w = (c1 - c0) / substeps
+                centres += [c0 + w * (j + 0.5) for j in range(substeps)]
+                widths += [w] * substeps
+        else:
+            # points of the uniform grid itself, so outputs without
+            # breakpoints do not move in the last digit
+            centres += [a + h * (k * substeps + j + 0.5) for j in range(substeps)]
+            widths += [h] * substeps
+        ends.append(len(centres))
+    return centres, widths, ends
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +179,56 @@ def _closed_step(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) -> n
     return expm_hermitian(k, -1j)
 
 
-def _open_step_super(gen: CycleGenerator, zeta: float, h: float) -> np.ndarray:
-    l_mid = gen.free_super.matrix + gen.g(zeta) * gen.coupling_super.matrix
-    return mat_exp(h * l_mid)
+def _cf4_couplings(gen: CycleGenerator, zeta: float, dzeta: float) -> tuple[float, float]:
+    """Coupling weights (c1, c2) of the two CF4 exponents, in the order applied.
 
-
-def _open_step_matvec(gen: CycleGenerator, zeta: float, h: float, rho: np.ndarray) -> np.ndarray:
-    """Apply exp(h L(zeta)) to a joint state without materializing L.
-
-    Substep exponents are small by construction, so the exponential
-    series applied term by term converges at machine precision after a
-    handful of Liouvillian applications; a splitting guard keeps the
-    series safe if a caller forces coarse substeps.
+    With g_lo, g_hi the values of g at the earlier and later Gauss node,
+    c1 = 2 (a1 g_lo + a2 g_hi) and c2 = 2 (a2 g_lo + a1 g_hi), where
+    a1,2 = 1/4 +- sqrt(3)/6. The exponent (h/2)(L_free + c L_SA) is of
+    Lindblad form, so its exponential is an exact channel, for every
+    real c when L_SA has no jump operators, and otherwise only for
+    c >= 0: for g >= 0 that means g_lo / g_hi in [0.0718, 13.93].
     """
-    g_val = gen.g(zeta)
+    g_lo = gen.g(zeta - _GAUSS_OFFSET * dzeta)
+    g_hi = gen.g(zeta + _GAUSS_OFFSET * dzeta)
+    return (
+        2.0 * (_CF4_NEAR * g_lo + _CF4_FAR * g_hi),
+        2.0 * (_CF4_FAR * g_lo + _CF4_NEAR * g_hi),
+    )
 
-    def apply_l(m: np.ndarray) -> np.ndarray:
-        return h * (gen.apply_free_liouvillian(m) + g_val * gen.apply_coupling_liouvillian(m))
 
+def _open_step_super(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) -> np.ndarray:
+    """CF4 superoperator factor for the substep of width ``dzeta`` centred at ``zeta``."""
+    half = 0.5 * dzeta * dt
+    l_free, l_sa = gen.free_super.matrix, gen.coupling_super.matrix
+    first, second = (
+        mat_exp(half * (l_free + c * l_sa)) for c in _cf4_couplings(gen, zeta, dzeta)
+    )
+    return second @ first
+
+
+def _open_step_matvec(
+    gen: CycleGenerator, zeta: float, dzeta: float, dt: float, rho: np.ndarray
+) -> np.ndarray:
+    """Apply the CF4 factor of a substep to a joint state without materializing L."""
+    half = 0.5 * dzeta * dt
+    for c in _cf4_couplings(gen, zeta, dzeta):
+
+        def apply_l(m: np.ndarray, c: float = c) -> np.ndarray:
+            return half * (gen.apply_free_liouvillian(m) + c * gen.apply_coupling_liouvillian(m))
+
+        rho = _expmv(apply_l, rho)
+    return rho
+
+
+def _expmv(apply_l: Callable[[np.ndarray], np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """exp(X) rho for the linear map X = ``apply_l``, by its power series.
+
+    Substep exponents are small by construction, so the series applied
+    term by term converges at machine precision after a handful of
+    Liouvillian applications; a splitting guard keeps the series safe if
+    a caller forces coarse substeps.
+    """
     norm0 = np.linalg.norm(rho)
     first = apply_l(rho)
     growth = np.linalg.norm(first) / max(norm0, 1e-300)
@@ -159,11 +237,12 @@ def _open_step_matvec(gen: CycleGenerator, zeta: float, h: float, rho: np.ndarra
     scale = 1.0 / pieces
 
     out = rho
-    for _ in range(pieces):
+    for piece in range(pieces):
         term = out
         acc = out.copy()
         for k in range(1, 60):
-            term = apply_l(term) * (scale / k)
+            # the first term of the first piece is the growth probe
+            term = (first if piece == 0 and k == 1 else apply_l(term)) * (scale / k)
             acc += term
             if np.linalg.norm(term) <= 1e-15 * np.linalg.norm(acc):
                 break
@@ -189,8 +268,9 @@ def cycle_unitary(gen: CycleGenerator, dt: float, substeps: int) -> np.ndarray:
     u = np.eye(d, dtype=complex)
     if dt == 0.0:
         return u
-    for zeta in _midpoint_zetas(0.0, 1.0, substeps):
-        u = _closed_step(gen, zeta, 1.0 / substeps, dt) @ u
+    zetas, widths, _ = _substep_grid(gen.g, 0.0, 1.0, substeps)
+    for zeta, dzeta in zip(zetas, widths):
+        u = _closed_step(gen, zeta, dzeta, dt) @ u
     return u
 
 
@@ -203,7 +283,8 @@ def cycle_propagator(
     generators only) or the superoperator product ("superop"); "auto"
     picks by generator. A closed generator gives the same Magnus-4
     factors either way, as the conjugation superoperator of its cycle
-    unitary; an open one takes midpoint-rule superoperator factors.
+    unitary; an open one takes CF4 superoperator factors. ``substeps``
+    is the count per piece of the breakpoint-aligned grid.
     """
     if dt < 0 or substeps < 1:
         raise ValueError("need dt >= 0 and substeps >= 1")
@@ -217,9 +298,9 @@ def cycle_propagator(
     p = np.eye(d2, dtype=complex)
     if dt == 0.0:
         return SuperOperator(p, space)
-    h = dt / substeps
-    for zeta in _midpoint_zetas(0.0, 1.0, substeps):
-        p = _open_step_super(gen, zeta, h) @ p
+    zetas, widths, _ = _substep_grid(gen.g, 0.0, 1.0, substeps)
+    for zeta, dzeta in zip(zetas, widths):
+        p = _open_step_super(gen, zeta, dzeta, dt) @ p
     return SuperOperator(p, space)
 
 
@@ -301,17 +382,21 @@ def cycle_map(
 class _CycleKernel:
     """Reusable propagator for one gap length, with intra-cycle samples.
 
-    ``fractions`` are the sample offsets within the cycle (ending at 1).
+    The cycle is split into ``parts`` equal sample intervals, each
+    propagated with ``substeps_per_piece`` substeps per piece of the
+    breakpoint-aligned grid; ``substeps`` is the total.
     For closed generators the kernel stores partial unitary products;
     for small open systems partial superoperator products; large open
     systems step the vectorized state with matrix-free exponentials.
     """
 
-    def __init__(self, gen: CycleGenerator, gap: float, substeps: int, fractions: Sequence[float]):
+    def __init__(self, gen: CycleGenerator, gap: float, substeps_per_piece: int, parts: int):
         self.gen = gen
         self.gap = gap
-        self.substeps = substeps
-        self.fractions = tuple(fractions)
+        self._zetas, self._widths, self._ends = _substep_grid(
+            gen.g, 0.0, 1.0, substeps_per_piece, parts
+        )
+        self.substeps = self._ends[-1]
         self.kind = (
             "unitary"
             if gen.is_closed
@@ -321,22 +406,18 @@ class _CycleKernel:
         if self.kind != "matvec":
             self._partials = self._build_partials()
 
-    def _sample_indices(self) -> list[int]:
-        return [max(1, round(f * self.substeps)) for f in self.fractions]
-
     def _build_partials(self) -> list[np.ndarray]:
-        gen, s, gap = self.gen, self.substeps, self.gap
-        marks = set(self._sample_indices())
+        gen, gap = self.gen, self.gap
         if self.kind == "unitary":
             acc = np.eye(gen.total_dim, dtype=complex)
-            step = lambda z: _closed_step(gen, z, 1.0 / s, gap)
+            step = _closed_step
         else:
             acc = np.eye(gen.total_dim ** 2, dtype=complex)
-            step = lambda z: _open_step_super(gen, z, gap / s)
+            step = _open_step_super
         partials = []
-        for k, zeta in enumerate(_midpoint_zetas(0.0, 1.0, s), start=1):
-            acc = step(zeta) @ acc
-            if k in marks:
+        for k, (zeta, dzeta) in enumerate(zip(self._zetas, self._widths), start=1):
+            acc = step(gen, zeta, dzeta, gap) @ acc
+            if k in self._ends:
                 partials.append(acc.copy())
         return partials
 
@@ -355,45 +436,44 @@ class _CycleKernel:
                 out = unvec(p @ v0, gen.total_dim)
                 reduced.append(partial_trace_matrix(out, (d_s, d_a), keep=0))
         else:
-            h = self.gap / self.substeps
-            marks = self._sample_indices()
             m = joint
-            next_mark = 0
-            for k, zeta in enumerate(_midpoint_zetas(0.0, 1.0, self.substeps), start=1):
-                m = _open_step_matvec(gen, zeta, h, m)
-                while next_mark < len(marks) and marks[next_mark] == k:
+            for k, (zeta, dzeta) in enumerate(zip(self._zetas, self._widths), start=1):
+                m = _open_step_matvec(gen, zeta, dzeta, self.gap, m)
+                if k in self._ends:
                     reduced.append(partial_trace_matrix(m, (d_s, d_a), keep=0))
-                    next_mark += 1
         return reduced
 
 
 def _build_kernel(
     gen: CycleGenerator,
     gap: float,
-    fractions: Sequence[float],
+    parts: int,
     joint_probe: np.ndarray,
     substeps: int | None,
     tol: float,
     cap: int,
-) -> tuple[_CycleKernel, float]:
-    """Construct a cycle kernel, calibrating substeps on a probe state."""
-    base = len(fractions)
+) -> tuple[_CycleKernel, list[np.ndarray], float]:
+    """Construct a cycle kernel, calibrating substeps on a probe state.
+
+    Returns the kernel, its reduced samples of the probe (so the caller
+    does not propagate the probe again) and the calibration residual.
+    """
     if substeps is not None:
-        s = base * max(1, -(-substeps // base))  # round up to sample multiple
-        return _CycleKernel(gen, gap, s, fractions), 0.0
+        # substeps per sample interval, rounded up
+        kernel = _CycleKernel(gen, gap, max(1, -(-substeps // parts)), parts)
+        return kernel, kernel.apply(joint_probe), 0.0
 
-    def run(s: int) -> _CycleKernel:
-        return _CycleKernel(gen, gap, s * base, fractions)
+    def run(s: int) -> tuple[_CycleKernel, list[np.ndarray]]:
+        kernel = _CycleKernel(gen, gap, s, parts)
+        return kernel, kernel.apply(joint_probe)
 
-    def dist(a: _CycleKernel, b: _CycleKernel) -> float:
-        ra = a.apply(joint_probe)[-1]
-        rb = b.apply(joint_probe)[-1]
-        return trace_distance(ra, rb)
+    def dist(a, b) -> float:
+        return trace_distance(a[1][-1], b[1][-1])
 
-    kernel, _, resid = _refine_doubling(
-        run, dist, start=1, tol=tol, cap=max(1, cap // base), what="cycle propagation"
+    (kernel, reduced), _, resid = _refine_doubling(
+        run, dist, start=1, tol=tol, cap=max(1, cap // parts), what="cycle propagation"
     )
-    return kernel, resid
+    return kernel, reduced, resid
 
 
 def evolve_with_resets(
@@ -444,14 +524,15 @@ def evolve_with_resets(
         gap = stop - start
         key = round(gap, 12)
         joint = np.kron(rho_s, rho_A.matrix)
-        if key not in kernels:
-            kernel, resid = _build_kernel(
-                gen, gap, fractions, joint, substeps, step_tol, substep_cap
+        if key in kernels:
+            samples = kernels[key].apply(joint)
+        else:
+            kernel, samples, resid = _build_kernel(
+                gen, gap, samples_per_cycle, joint, substeps, step_tol, substep_cap
             )
             kernels[key] = kernel
             kernel_info[key] = {"substeps": kernel.substeps, "residual": resid}
-        kernel = kernels[key]
-        for frac, reduced in zip(fractions, kernel.apply(joint)):
+        for frac, reduced in zip(fractions, samples):
             times.append(start + frac * gap)
             states.append(make_state(reduced))
             if monitor_top_levels:
@@ -525,32 +606,32 @@ def _propagate_segment(
     tol: float,
     cap: int,
 ) -> tuple[np.ndarray, int, float]:
-    """Evolve a joint state from cycle time a to b (0 <= a < b <= dt)."""
+    """Evolve a joint state from cycle time a to b (0 <= a < b <= dt).
+
+    Returns the state, the total substep count and the residual.
+    """
     a_frac, b_frac = a / dt, b / dt
     d = gen.total_dim
     closed = gen.is_closed
     small = d <= SUPEROP_PATH_MAX_DIM
 
+    totals = {}
+
     def run(s: int) -> np.ndarray:
-        if closed:
-            dzeta = (b_frac - a_frac) / s
-            out = joint
-            for zeta in _midpoint_zetas(a_frac, b_frac, s):
+        zetas, widths, _ = _substep_grid(gen.g, a_frac, b_frac, s)
+        totals[s] = len(zetas)
+        out = joint
+        for zeta, dzeta in zip(zetas, widths):
+            if closed:
                 u = _closed_step(gen, zeta, dzeta, dt)
                 out = u @ out @ u.conj().T
-            return out
-        h = (b - a) / s
-        if small:
-            v = vec(joint)
-            for zeta in _midpoint_zetas(a_frac, b_frac, s):
-                v = _open_step_super(gen, zeta, h) @ v
-            return unvec(v, d)
-        m = joint
-        for zeta in _midpoint_zetas(a_frac, b_frac, s):
-            m = _open_step_matvec(gen, zeta, h, m)
-        return m
+            elif small:
+                out = unvec(_open_step_super(gen, zeta, dzeta, dt) @ vec(out), d)
+            else:
+                out = _open_step_matvec(gen, zeta, dzeta, dt, out)
+        return out
 
-    out, substeps, resid = _refine_doubling(
+    out, s, resid = _refine_doubling(
         run, trace_distance, start=1, tol=tol, cap=cap, what="intra-cycle segment"
     )
-    return out, substeps, resid
+    return out, totals[s], resid

@@ -196,13 +196,21 @@ class CycleGenerator:
     def hamiltonian_at(self, zeta: float) -> np.ndarray:
         return self.h_free_full + self.g(zeta) * self.h_SA.matrix
 
+    @cached_property
+    def free_lindblad(self) -> "_LindbladForm":
+        return _LindbladForm.of(self.h_free_full, self.jumps_free_full)
+
+    @cached_property
+    def coupling_lindblad(self) -> "_LindbladForm":
+        return _LindbladForm.of(self.h_SA.matrix, self.jumps_coupling_full)
+
     def apply_free_liouvillian(self, m: np.ndarray) -> np.ndarray:
         """(L_S + L_A) applied to a joint-space matrix."""
-        return _apply_lindblad(self.h_free_full, self.jumps_free_full, m)
+        return self.free_lindblad.apply(m)
 
     def apply_coupling_liouvillian(self, m: np.ndarray) -> np.ndarray:
         """L_SA applied to a joint-space matrix (without the g factor)."""
-        return _apply_lindblad(self.h_SA.matrix, self.jumps_coupling_full, m)
+        return self.coupling_lindblad.apply(m)
 
     @cached_property
     def free_super(self) -> SuperOperator:
@@ -230,13 +238,29 @@ class CycleGenerator:
         return warnings
 
 
-def _apply_lindblad(h: np.ndarray, jumps: Sequence[np.ndarray], m: np.ndarray) -> np.ndarray:
-    out = -1j * (h @ m - m @ h)
-    for l in jumps:
-        lm = l @ m
-        ll = l.conj().T @ l
-        out = out + lm @ l.conj().T - 0.5 * (ll @ m + m @ ll)
-    return out
+@dataclass(frozen=True)
+class _LindbladForm:
+    """A Lindbladian L m = K m + m K^dag + sum_j L_j m L_j^dag, precomputed.
+
+    K = -i H - (1/2) sum_j L_j^dag L_j; ``pairs`` holds (L_j, L_j^dag).
+    """
+
+    k: np.ndarray
+    k_dag: np.ndarray
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, h: np.ndarray, jumps: Sequence[np.ndarray]) -> "_LindbladForm":
+        k = -1j * h
+        for l in jumps:
+            k = k - 0.5 * (l.conj().T @ l)
+        return cls(k, k.conj().T, tuple((l, l.conj().T) for l in jumps))
+
+    def apply(self, m: np.ndarray) -> np.ndarray:
+        out = self.k @ m + m @ self.k_dag
+        for l, l_dag in self.pairs:
+            out += l @ m @ l_dag
+        return out
 
 
 def _basis_matrix(index: int, dim: int) -> np.ndarray:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from resetctrl.analysis import fit_order
+from resetctrl.analysis import fit_order, reset_jumps
+from resetctrl.config import qubit_defaults
 from resetctrl.dynamics import (
     ResetSchedule,
+    _cf4_couplings,
+    _substep_grid,
     Trajectory,
     cycle_map,
     cycle_propagator,
@@ -17,6 +20,7 @@ from resetctrl.dynamics import (
 from resetctrl.generators import (
     constant,
     effective_hamiltonian,
+    from_table,
     phi1_super,
     sin_squared,
     square_pulse,
@@ -26,6 +30,8 @@ from resetctrl.qcore import (
     DensityMatrix,
     HilbertSpace,
     Operator,
+    SuperOperator,
+    choi_matrix,
     expm_hermitian,
     is_cptp,
     mat_exp,
@@ -84,8 +90,7 @@ class TestCyclePropagator:
         report = fit_order(list(reversed(widths[:-1])), list(reversed(diffs)))
         assert 3.8 <= report.fitted_order <= 4.2
 
-    def test_self_convergence_is_second_order(self, rng):
-        # open generators keep the midpoint rule
+    def test_open_self_convergence_is_fourth_order(self, rng):
         gen, _ = random_open_qq(rng)
         dt = 0.5
         ladder = [4, 8, 16, 32, 64]
@@ -93,7 +98,7 @@ class TestCyclePropagator:
         widths = [dt / s for s in ladder]
         diffs = [np.max(np.abs(a - b)) for a, b in zip(props, props[1:])]
         report = fit_order(list(reversed(widths[:-1])), list(reversed(diffs)))
-        assert 1.8 <= report.fitted_order <= 2.2
+        assert 3.8 <= report.fitted_order <= 4.2
 
     def test_unitary_and_superop_paths_agree(self, rng):
         gen, _ = random_closed_qq(rng)
@@ -417,6 +422,198 @@ class TestLargeDimMatvecPath:
 
         reduced = partial_trace_matrix(dense, (cutoff, 2), keep=0)
         assert trace_distance(traj.states[-1].matrix, reduced) <= 1e-11
+
+
+def _reduced_map(apply_joint, rho_a):
+    """Matrix of rho_S -> tr_A[F(rho_S kron rho_A)] on a qubit system."""
+    out = np.empty((4, 4), dtype=complex)
+    for idx in range(4):
+        e = np.zeros((2, 2), dtype=complex)
+        e[idx % 2, idx // 2] = 1.0
+        joint = apply_joint(np.kron(e, rho_a.matrix))
+        out[:, idx] = vec(partial_trace_matrix(joint, (2, 2), keep=0))
+    return out
+
+
+def _oracle_cycle(gen, dt, v0):
+    # dv/dt = L(t / dt) v on the vectorized Lindblad equation, integrated
+    # over one cycle by an independent RK method; v0 is a vector or a
+    # matrix of columns
+    l_free, l_sa = gen.free_super.matrix, gen.coupling_super.matrix
+    shape = v0.shape
+
+    def rhs(t, y):
+        return ((l_free + gen.g(t / dt) * l_sa) @ y.reshape(shape)).ravel()
+
+    sol = solve_ivp(
+        rhs, (0.0, dt), v0.astype(complex).ravel(),
+        method="DOP853", rtol=1e-13, atol=1e-13,
+    )
+    assert sol.success
+    return sol.y[:, -1].reshape(shape)
+
+
+def _open_matvec_model():
+    """Open oscillator-qubit model at cutoff 10: joint dimension 20, matrix-free."""
+    cutoff = 10
+    space = HilbertSpace((cutoff,))
+    gen = dataclasses.replace(
+        generic_qq()[0],
+        space_S=space,
+        h_S=Operator(number_operator(cutoff), space),
+        h_SA=Operator(np.kron(quadrature_x(cutoff), SIGMA_X), space.tensor(QQ)),
+        g=sin_squared(1.0),
+        jumps_A=(Operator(0.5 * annihilation(2), QQ),),
+    )
+    rho_a = DensityMatrix.from_matrix(np.eye(2) / 2)
+    psi = np.zeros(cutoff, dtype=complex)
+    psi[0] = psi[1] = 1 / np.sqrt(2)
+    return gen, rho_a, DensityMatrix.pure(psi, (cutoff,))
+
+
+class TestBreakpointAlignedGrid:
+    # g = 1.2 on [0.1, 0.6] and 0 elsewhere: the cycle is exactly a
+    # product of three exponentials, which an aligned grid reproduces
+    HEIGHT, START, STOP = 1.2, 0.1, 0.6
+    DT = 0.3
+
+    def test_open_cycle_map_is_three_exponentials(self, rng):
+        gen, rho_a = random_open_qq(rng)
+        gen = dataclasses.replace(gen, g=square_pulse(self.HEIGHT, self.START, self.STOP))
+        l_free, l_sa = gen.free_super.matrix, gen.coupling_super.matrix
+        dt = self.DT
+        prop = (
+            mat_exp((1.0 - self.STOP) * dt * l_free)
+            @ mat_exp((self.STOP - self.START) * dt * (l_free + self.HEIGHT * l_sa))
+            @ mat_exp(self.START * dt * l_free)
+        )
+        exact = _reduced_map(lambda m: unvec(prop @ vec(m), 4), rho_a)
+        assert np.max(np.abs(cycle_map(gen, rho_a, dt).matrix - exact)) <= 1e-9
+
+    def test_closed_cycle_map_is_three_exponentials(self, rng):
+        gen, rho_a = random_closed_qq(rng)
+        gen = dataclasses.replace(gen, g=square_pulse(self.HEIGHT, self.START, self.STOP))
+        h_free, h_on = gen.h_free_full, gen.h_free_full + self.HEIGHT * gen.h_SA.matrix
+        dt = self.DT
+        u = (
+            expm_hermitian(h_free, -1j * (1.0 - self.STOP) * dt)
+            @ expm_hermitian(h_on, -1j * (self.STOP - self.START) * dt)
+            @ expm_hermitian(h_free, -1j * self.START * dt)
+        )
+        exact = _reduced_map(lambda m: u @ m @ u.conj().T, rho_a)
+        assert np.max(np.abs(cycle_map(gen, rho_a, dt).matrix - exact)) <= 1e-9
+
+    def test_kernel_samples_split_pieces(self, rng):
+        # samples at cycle quarters cut the pulse pieces again; every
+        # piece keeps the same substep count and the samples stay exact
+        gen, rho_a = random_open_qq(rng)
+        gen = dataclasses.replace(gen, g=square_pulse(self.HEIGHT, self.START, self.STOP))
+        rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
+        dt = self.DT
+        traj = evolve_with_resets(
+            gen, rho0, rho_a, ResetSchedule((dt,)), substeps=8, samples_per_cycle=4
+        )
+        # pieces [0, .1, .25, .5, .6, .75, 1]: six pieces of two substeps
+        assert traj.metadata["kernels"][str(dt)]["substeps"] == 12
+        l_free, l_sa = gen.free_super.matrix, gen.coupling_super.matrix
+        joint = np.kron(rho0.matrix, rho_a.matrix)
+        for frac, state in zip((0.25, 0.5, 0.75, 1.0), traj.states[1:]):
+            on = max(0.0, min(frac, self.STOP) - self.START)
+            prop = (
+                mat_exp(max(0.0, frac - self.STOP) * dt * l_free)
+                @ mat_exp(on * dt * (l_free + self.HEIGHT * l_sa))
+                @ mat_exp(min(frac, self.START) * dt * l_free)
+            )
+            exact = partial_trace_matrix(unvec(prop @ vec(joint), 4), (2, 2), keep=0)
+            assert trace_distance(state.matrix, exact) <= 1e-12
+
+
+class TestOpenAgainstOracle:
+    def test_superop_error_is_fourth_order(self, rng):
+        gen, _ = random_open_qq(rng)
+        gen = dataclasses.replace(gen, g=sin_squared(1.5))
+        dt = 0.7
+        exact = _oracle_cycle(gen, dt, np.eye(16))
+        ladder = [8, 16, 32, 64]
+        errors = [
+            np.max(np.abs(cycle_propagator(gen, dt, s, method="superop").matrix - exact))
+            for s in ladder
+        ]
+        widths = [dt / s for s in ladder]
+        report = fit_order(list(reversed(widths)), list(reversed(errors)))
+        assert 3.8 <= report.fitted_order <= 4.2
+
+    def test_matvec_trajectory_matches_oracle(self):
+        gen, rho_a, rho0 = _open_matvec_model()
+        dt, n = 0.15, 3
+        traj = evolve_with_resets(
+            gen, rho0, rho_a, ResetSchedule.uniform(n, n * dt), step_tol=1e-10
+        )
+        assert traj.metadata["path"] == "matvec"
+        rho_s = rho0.matrix
+        for _ in range(n):
+            v = _oracle_cycle(gen, dt, vec(np.kron(rho_s, rho_a.matrix)))
+            rho_s = partial_trace_matrix(unvec(v, 20), (10, 2), keep=0)
+        assert trace_distance(traj.states[-1].matrix, rho_s) <= 1e-9
+
+    @pytest.mark.parametrize("substeps", [1, 2])
+    def test_coarse_matvec_steps_match_dense_product(self, substeps, rng):
+        # a state spread over all levels at dt = 1.2 makes each CF4
+        # exponent grow the state (norm ratio above 1 at s = 1 and 2),
+        # so the series runs under the splitting guard
+        gen, rho_a, _ = _open_matvec_model()
+        rho0 = DensityMatrix.pure(random_pure(rng, 10), (10,))
+        dt = 1.2
+        traj = evolve_with_resets(
+            gen, rho0, rho_a, ResetSchedule((dt,)), substeps=substeps
+        )
+        assert traj.metadata["path"] == "matvec"
+        prop = cycle_propagator(gen, dt, substeps, method="superop").matrix
+        dense = unvec(prop @ vec(np.kron(rho0.matrix, rho_a.matrix)), 20)
+        reduced = partial_trace_matrix(dense, (10, 2), keep=0)
+        assert trace_distance(traj.states[-1].matrix, reduced) <= 1e-11
+
+
+class TestOpenFactorsAreChannels:
+    def test_cf4_factors_of_reset_model_are_cptp(self):
+        """Each CF4 factor exp((h/2)(L_free + c L_SA)) is a channel.
+
+        A factor is exactly CP whenever the coupling has no jump operators
+        (L_SA is then Hamiltonian and c may have either sign), as in this
+        model with reset jumps on the actuator only. With coupling jumps
+        it is exactly CP only for c1, c2 >= 0, i.e. for g_lo / g_hi within
+        [0.0718, 13.93] at the two Gauss nodes of the substep.
+        """
+        cfg = qubit_defaults()
+        _, gen = cfg.model.build()
+        rho_a = cfg.states.build_rho_a()
+        gen = dataclasses.replace(gen, jumps_A=reset_jumps(rho_a, 1.0))
+        assert not gen.jumps_SA
+        zetas, widths, _ = _substep_grid(gen.g, 0.0, 1.0, 1)
+        half = 0.5 * widths[0] * 0.3
+        l_free, l_sa = gen.free_super.matrix, gen.coupling_super.matrix
+        factors = [
+            mat_exp(half * (l_free + c * l_sa)) for c in _cf4_couplings(gen, zetas[0], widths[0])
+        ]
+        # the two factors make up the step the dense path takes
+        np.testing.assert_allclose(
+            factors[1] @ factors[0],
+            cycle_propagator(gen, 0.3, 1, method="superop").matrix,
+            atol=1e-14,
+        )
+        for f in factors:
+            choi = choi_matrix(SuperOperator(f, gen.space))
+            assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min() >= -1e-12
+            assert is_cptp(SuperOperator(f, gen.space), tol_psd=1e-12)
+
+    def test_coupling_weights_sign_band(self):
+        # c1, c2 >= 0 exactly when g_lo / g_hi lies in [0.0718, 13.93]
+        gen, _ = generic_qq()
+        offset = np.sqrt(3.0) / 6.0
+        for ratio, inside in ((0.07, False), (0.073, True), (13.9, True), (14.0, False)):
+            table = from_table([0.0, 0.5 - offset, 0.5 + offset, 1.0], [1.0, ratio, 1.0, 1.0])
+            c1, c2 = _cf4_couplings(dataclasses.replace(gen, g=table), 0.5, 1.0)
+            assert (min(c1, c2) >= 0.0) == inside
 
 
 def test_trajectory_validation():
