@@ -9,15 +9,13 @@ import sys
 from pathlib import Path
 
 from resetctrl.config import default_config, qubit_defaults
-from resetctrl.experiments import EXPERIMENT_KINDS, run_experiment
-
-QUBIT_KINDS = {"chernoff", "dissipative", "strobe", "gradual", "lie"}
+from resetctrl.experiments import EXPERIMENT_KINDS, QUBIT_DEFAULT_KINDS, run_experiment
 
 
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
     for kind in EXPERIMENT_KINDS:
-        cfg = qubit_defaults() if kind in QUBIT_KINDS else default_config()
+        cfg = qubit_defaults() if kind in QUBIT_DEFAULT_KINDS else default_config()
         print(f"== {kind} -> {root / kind}")
         code = run_experiment(cfg, kind, root / kind, quiet=False)
         if code != 0:

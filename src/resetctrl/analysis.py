@@ -18,6 +18,7 @@ from .dynamics import SUPEROP_PATH_MAX_DIM, ResetSchedule, cycle_map, evolve_wit
 from .generators import (
     CycleGenerator,
     SwitchingFunction,
+    _coupling_average,
     constant,
     effective_hamiltonian,
     phi1_super,
@@ -308,13 +309,6 @@ def braced_switching_term(g: SwitchingFunction, tau: float, dt: float) -> float:
     s = tau / dt
     partial = quadrature.integrate_scalar(g.evaluate, 0.0, s, breakpoints=g.breakpoints)
     return g.mean - partial / s
-
-
-def _coupling_average(gen: CycleGenerator, rho_A: DensityMatrix) -> np.ndarray:
-    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
-    return partial_trace_matrix(
-        gen.h_SA.matrix @ np.kron(np.eye(d_s), rho_A.matrix), (d_s, d_a), keep=0
-    )
 
 
 def stroboscopic_deviation(

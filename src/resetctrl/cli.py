@@ -12,11 +12,10 @@ import dataclasses
 import sys
 
 from .config import ConfigError, default_config, load_config, qubit_defaults
-from .experiments import EXPERIMENT_KINDS, InvariantViolationError, run_experiment
+from .experiments import (
+    EXPERIMENT_KINDS, QUBIT_DEFAULT_KINDS, InvariantViolationError, run_experiment,
+)
 from .qcore import ConvergenceError
-
-# analysis kinds default to the small qubit-qubit reduction
-_QUBIT_DEFAULT_KINDS = frozenset({"chernoff", "dissipative", "strobe", "gradual", "lie"})
 
 _KIND_HELP = {
     "effective": "print and save the effective Hamiltonian for a config",
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             cfg = load_config(args.config)
-        elif args.kind in _QUBIT_DEFAULT_KINDS:
+        elif args.kind in QUBIT_DEFAULT_KINDS:
             cfg = qubit_defaults()
         else:
             cfg = default_config()

@@ -19,21 +19,26 @@ sample times, and every piece gets the same number of uniform substeps.
 No substep straddles a discontinuity, so a piecewise-smooth g keeps the
 fourth order, and a piecewise-constant g is propagated exactly.
 
-Two execution paths exist: a dense-superoperator path for small joint
-dimensions (analysis consumption) and a state-propagation path that
-never materializes superoperators, used for trajectories whenever the
-joint dimension exceeds 16. Closed systems always propagate a joint
-unitary instead of a superoperator.
+Three execution paths exist, and ``_path`` chooses between them: a
+closed generator propagates the joint unitary; an open one with joint
+dimension up to ``SUPEROP_PATH_MAX_DIM`` the dense superoperator; a
+larger open one steps the joint state with matrix-free exponentials and
+never materializes a superoperator. One sweep, ``_sweep``, runs the
+substep factors of any path over the grid, and one ladder,
+``quadrature._refine_doubling``, doubles the substeps until successive
+outputs agree.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .generators import CycleGenerator, SwitchingFunction, _reduced_super
+from .quadrature import _refine_doubling
 from .qcore import (
     ConvergenceError,
     DensityMatrix,
@@ -157,7 +162,7 @@ def _substep_grid(
 
 
 # ---------------------------------------------------------------------------
-# substep factor construction
+# substep factors of the three paths
 
 
 def _closed_step(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) -> np.ndarray:
@@ -208,17 +213,15 @@ def _open_step_super(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) 
 
 
 def _open_step_matvec(
-    gen: CycleGenerator, zeta: float, dzeta: float, dt: float, rho: np.ndarray
-) -> np.ndarray:
-    """Apply the CF4 factor of a substep to a joint state without materializing L."""
+    gen: CycleGenerator, zeta: float, dzeta: float, dt: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """CF4 factor of a substep as a map on joint states, without materializing L."""
     half = 0.5 * dzeta * dt
-    for c in _cf4_couplings(gen, zeta, dzeta):
-
-        def apply_l(m: np.ndarray, c: float = c) -> np.ndarray:
-            return half * (gen.apply_free_liouvillian(m) + c * gen.apply_coupling_liouvillian(m))
-
-        rho = _expmv(apply_l, rho)
-    return rho
+    l_free, l_sa = gen.apply_free_liouvillian, gen.apply_coupling_liouvillian
+    first, second = (
+        lambda m, c=c: half * (l_free(m) + c * l_sa(m)) for c in _cf4_couplings(gen, zeta, dzeta)
+    )
+    return lambda rho: _expmv(second, _expmv(first, rho))
 
 
 def _expmv(apply_l: Callable[[np.ndarray], np.ndarray], rho: np.ndarray) -> np.ndarray:
@@ -254,6 +257,73 @@ def _expmv(apply_l: Callable[[np.ndarray], np.ndarray], rho: np.ndarray) -> np.n
     return out
 
 
+@dataclass(frozen=True)
+class _Path:
+    """One representation of the substep factors of a cycle.
+
+    ``factor(gen, zeta, dzeta, dt)`` builds the factor of one substep;
+    ``act(f, joint)`` applies a factor, or a product of dense factors, to
+    a joint-space matrix. A dense factor is a square matrix of side
+    d ** ``power`` for joint dimension d; a matrix-free one has no power.
+    """
+
+    name: str
+    factor: Callable
+    act: Callable[[object, np.ndarray], np.ndarray]
+    power: int | None
+
+
+_UNITARY = _Path("unitary", _closed_step, lambda u, m: u @ m @ u.conj().T, 1)
+_SUPEROP = _Path("superop", _open_step_super, lambda p, m: unvec(p @ vec(m), m.shape[0]), 2)
+_MATVEC = _Path("matvec", _open_step_matvec, lambda f, m: f(m), None)
+
+
+def _path(gen: CycleGenerator) -> _Path:
+    """The path rule: unitary if closed, dense superoperator if small, else matrix-free."""
+    if gen.is_closed:
+        return _UNITARY
+    return _SUPEROP if gen.total_dim <= SUPEROP_PATH_MAX_DIM else _MATVEC
+
+
+def _sweep(
+    gen: CycleGenerator,
+    path: _Path,
+    dt: float,
+    grid: tuple[list[float], list[float], list[int]],
+    joint: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Run the substep factors of ``grid`` in order; return the value at each part end.
+
+    Without ``joint`` the dense factors are left-multiplied into partial
+    products, starting from the identity; with it every factor acts on
+    the joint state in turn.
+    """
+    zetas, widths, ends = grid
+    if joint is None:
+        cur, step = np.eye(gen.total_dim ** path.power, dtype=complex), operator.matmul
+    else:
+        cur, step = joint, path.act
+    if dt == 0.0:
+        return [cur] * len(ends)
+    factor = path.factor
+    out = []
+    for k, (zeta, dzeta) in enumerate(zip(zetas, widths), start=1):
+        cur = step(factor(gen, zeta, dzeta, dt), cur)
+        if k in ends:
+            out.append(cur)
+    return out
+
+
+def _reduce(gen: CycleGenerator, joint: np.ndarray) -> np.ndarray:
+    """tr_A of a joint-space matrix."""
+    return partial_trace_matrix(joint, (gen.space_S.total_dim, gen.space_A.total_dim), keep=0)
+
+
+def _system_state(gen: CycleGenerator, m: np.ndarray, validate: bool) -> DensityMatrix:
+    op = Operator(m, gen.space_S)
+    return DensityMatrix(op, **_STATE_TOLS) if validate else DensityMatrix.unchecked(op)
+
+
 # ---------------------------------------------------------------------------
 # cycle propagators
 
@@ -264,14 +334,7 @@ def cycle_unitary(gen: CycleGenerator, dt: float, substeps: int) -> np.ndarray:
         raise ValueError("cycle_unitary requires a closed (jump-free) generator")
     if dt < 0 or substeps < 1:
         raise ValueError("need dt >= 0 and substeps >= 1")
-    d = gen.total_dim
-    u = np.eye(d, dtype=complex)
-    if dt == 0.0:
-        return u
-    zetas, widths, _ = _substep_grid(gen.g, 0.0, 1.0, substeps)
-    for zeta, dzeta in zip(zetas, widths):
-        u = _closed_step(gen, zeta, dzeta, dt) @ u
-    return u
+    return _sweep(gen, _UNITARY, dt, _substep_grid(gen.g, 0.0, 1.0, substeps))[-1]
 
 
 def cycle_propagator(
@@ -290,40 +353,11 @@ def cycle_propagator(
         raise ValueError("need dt >= 0 and substeps >= 1")
     if method not in ("auto", "unitary", "superop"):
         raise ValueError(f"unknown method {method!r}")
-    space = gen.space
-    if gen.is_closed or method == "unitary":
+    if method == "unitary" or _path(gen) is _UNITARY:
         u = cycle_unitary(gen, dt, substeps)
-        return SuperOperator(np.kron(u.conj(), u), space)
-    d2 = gen.total_dim ** 2
-    p = np.eye(d2, dtype=complex)
-    if dt == 0.0:
-        return SuperOperator(p, space)
-    zetas, widths, _ = _substep_grid(gen.g, 0.0, 1.0, substeps)
-    for zeta, dzeta in zip(zetas, widths):
-        p = _open_step_super(gen, zeta, dzeta, dt) @ p
-    return SuperOperator(p, space)
-
-
-def _refine_doubling(
-    run: Callable[[int], object],
-    distance: Callable[[object, object], float],
-    start: int,
-    tol: float,
-    cap: int,
-    what: str,
-) -> tuple[object, int, float]:
-    """Double a resolution parameter until successive outputs agree."""
-    s = max(1, start)
-    prev = run(s)
-    resid = np.inf
-    while 2 * s <= cap:
-        s *= 2
-        cur = run(s)
-        resid = distance(cur, prev)
-        if resid < tol:
-            return cur, s, resid
-        prev = cur
-    raise ConvergenceError(f"{what} did not converge by substep cap {cap}", resid, s)
+        return SuperOperator(np.kron(u.conj(), u), gen.space)
+    p = _sweep(gen, _SUPEROP, dt, _substep_grid(gen.g, 0.0, 1.0, substeps))[-1]
+    return SuperOperator(p, gen.space)
 
 
 def cycle_map(
@@ -344,35 +378,26 @@ def cycle_map(
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
         return SuperOperator.identity(gen.space_S)
-    if not gen.is_closed and gen.total_dim > SUPEROP_PATH_MAX_DIM:
+    path = _path(gen)
+    if path is _MATVEC:
         raise ValueError(
             f"dense cycle_map for open systems is limited to joint dimension "
             f"{SUPEROP_PATH_MAX_DIM}; use evolve_with_resets for larger models"
         )
 
-    if gen.is_closed:
+    if path is _UNITARY:
         build = lambda s: cycle_unitary(gen, dt, s)
     else:
         build = lambda s: cycle_propagator(gen, dt, s, method="superop").matrix
-
-    if substeps is not None:
-        prop = build(substeps)
-    else:
-        prop, _, _ = _refine_doubling(
-            build,
-            lambda a, b: float(np.max(np.abs(a - b))),
-            start=1,
-            tol=tol,
-            cap=substep_cap,
-            what="cycle_map substep refinement",
-        )
-
-    if gen.is_closed:
-        apply_joint = lambda m: prop @ m @ prop.conj().T
-    else:
-        d = gen.total_dim
-        apply_joint = lambda m: unvec(prop @ vec(m), d)
-    return SuperOperator(_reduced_super(gen, rho_A, apply_joint), gen.space_S)
+    prop, _, _ = _refine_doubling(
+        build,
+        lambda a, b: float(np.max(np.abs(a - b))),
+        start=1 if substeps is None else substeps,
+        tol=tol if substeps is None else None,
+        cap=substep_cap,
+        what="cycle_map substep refinement",
+    )
+    return SuperOperator(_reduced_super(gen, rho_A, lambda m: path.act(prop, m)), gen.space_S)
 
 
 # ---------------------------------------------------------------------------
@@ -384,64 +409,28 @@ class _CycleKernel:
 
     The cycle is split into ``parts`` equal sample intervals, each
     propagated with ``substeps_per_piece`` substeps per piece of the
-    breakpoint-aligned grid; ``substeps`` is the total.
-    For closed generators the kernel stores partial unitary products;
-    for small open systems partial superoperator products; large open
-    systems step the vectorized state with matrix-free exponentials.
+    breakpoint-aligned grid; ``substeps`` is the total. Dense paths store
+    the partial products up to each sample; the matrix-free path steps
+    every joint state through the factors instead.
     """
 
     def __init__(self, gen: CycleGenerator, gap: float, substeps_per_piece: int, parts: int):
         self.gen = gen
         self.gap = gap
-        self._zetas, self._widths, self._ends = _substep_grid(
-            gen.g, 0.0, 1.0, substeps_per_piece, parts
-        )
-        self.substeps = self._ends[-1]
-        self.kind = (
-            "unitary"
-            if gen.is_closed
-            else ("superop" if gen.total_dim <= SUPEROP_PATH_MAX_DIM else "matvec")
-        )
-        self._partials: list[np.ndarray] | None = None
-        if self.kind != "matvec":
-            self._partials = self._build_partials()
-
-    def _build_partials(self) -> list[np.ndarray]:
-        gen, gap = self.gen, self.gap
-        if self.kind == "unitary":
-            acc = np.eye(gen.total_dim, dtype=complex)
-            step = _closed_step
-        else:
-            acc = np.eye(gen.total_dim ** 2, dtype=complex)
-            step = _open_step_super
-        partials = []
-        for k, (zeta, dzeta) in enumerate(zip(self._zetas, self._widths), start=1):
-            acc = step(gen, zeta, dzeta, gap) @ acc
-            if k in self._ends:
-                partials.append(acc.copy())
-        return partials
+        self.path = _path(gen)
+        self._grid = _substep_grid(gen.g, 0.0, 1.0, substeps_per_piece, parts)
+        self.substeps = self._grid[2][-1]
+        self._partials = None
+        if self.path.power is not None:
+            self._partials = _sweep(gen, self.path, gap, self._grid)
 
     def apply(self, joint: np.ndarray) -> list[np.ndarray]:
         """Propagate a joint state, returning reduced states at each sample."""
-        gen = self.gen
-        d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
-        reduced = []
-        if self.kind == "unitary":
-            for u in self._partials:
-                out = u @ joint @ u.conj().T
-                reduced.append(partial_trace_matrix(out, (d_s, d_a), keep=0))
-        elif self.kind == "superop":
-            v0 = vec(joint)
-            for p in self._partials:
-                out = unvec(p @ v0, gen.total_dim)
-                reduced.append(partial_trace_matrix(out, (d_s, d_a), keep=0))
+        if self._partials is None:
+            outs = _sweep(self.gen, self.path, self.gap, self._grid, joint)
         else:
-            m = joint
-            for k, (zeta, dzeta) in enumerate(zip(self._zetas, self._widths), start=1):
-                m = _open_step_matvec(gen, zeta, dzeta, self.gap, m)
-                if k in self._ends:
-                    reduced.append(partial_trace_matrix(m, (d_s, d_a), keep=0))
-        return reduced
+            outs = [self.path.act(p, joint) for p in self._partials]
+        return [_reduce(self.gen, m) for m in outs]
 
 
 def _build_kernel(
@@ -457,21 +446,20 @@ def _build_kernel(
 
     Returns the kernel, its reduced samples of the probe (so the caller
     does not propagate the probe again) and the calibration residual.
+    A fixed ``substeps`` is spread over the sample intervals, rounded up.
     """
-    if substeps is not None:
-        # substeps per sample interval, rounded up
-        kernel = _CycleKernel(gen, gap, max(1, -(-substeps // parts)), parts)
-        return kernel, kernel.apply(joint_probe), 0.0
 
     def run(s: int) -> tuple[_CycleKernel, list[np.ndarray]]:
         kernel = _CycleKernel(gen, gap, s, parts)
         return kernel, kernel.apply(joint_probe)
 
-    def dist(a, b) -> float:
-        return trace_distance(a[1][-1], b[1][-1])
-
     (kernel, reduced), _, resid = _refine_doubling(
-        run, dist, start=1, tol=tol, cap=max(1, cap // parts), what="cycle propagation"
+        run,
+        lambda a, b: trace_distance(a[1][-1], b[1][-1]),
+        start=1 if substeps is None else max(1, -(-substeps // parts)),
+        tol=tol if substeps is None else None,
+        cap=max(1, cap // parts),
+        what="cycle propagation",
     )
     return kernel, reduced, resid
 
@@ -509,12 +497,6 @@ def evolve_with_resets(
     kernels: dict[float, _CycleKernel] = {}
     kernel_info: dict[float, dict] = {}
 
-    def make_state(m: np.ndarray) -> DensityMatrix:
-        op = Operator(m, gen.space_S)
-        if validate_states:
-            return DensityMatrix(op, **_STATE_TOLS)
-        return DensityMatrix.unchecked(op)
-
     times = [0.0]
     states = [rho_S0]
     rho_s = rho_S0.matrix
@@ -534,7 +516,7 @@ def evolve_with_resets(
             kernel_info[key] = {"substeps": kernel.substeps, "residual": resid}
         for frac, reduced in zip(fractions, samples):
             times.append(start + frac * gap)
-            states.append(make_state(reduced))
+            states.append(_system_state(gen, reduced, validate_states))
             if monitor_top_levels:
                 pops = np.real(np.diag(reduced))
                 top_level_max = max(top_level_max, float(np.sum(pops[-monitor_top_levels:])))
@@ -543,7 +525,7 @@ def evolve_with_resets(
     metadata = {
         "resets": schedule.n_resets,
         "samples_per_cycle": samples_per_cycle,
-        "path": kernels[next(iter(kernels))].kind if kernels else "none",
+        "path": _path(gen).name,
         "kernels": {str(k): v for k, v in sorted(kernel_info.items())},
     }
     if monitor_top_levels:
@@ -575,14 +557,8 @@ def intra_cycle_trajectory(
     if pts[0] < 0.0 or pts[-1] > dt * (1 + 1e-12):
         raise ValueError(f"sample points must lie in [0, {dt}]")
 
-    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
     joint = np.kron(rho_S.matrix, rho_A.matrix)
     times, states, seg_info = [], [], []
-
-    def make_state(m: np.ndarray) -> DensityMatrix:
-        op = Operator(m, gen.space_S)
-        return DensityMatrix(op, **_STATE_TOLS) if validate_states else DensityMatrix.unchecked(op)
-
     prev = 0.0
     for tau in pts:
         if tau > prev:
@@ -592,7 +568,7 @@ def intra_cycle_trajectory(
             seg_info.append({"to": tau, "substeps": substeps, "residual": resid})
             prev = tau
         times.append(tau)
-        states.append(make_state(partial_trace_matrix(joint, (d_s, d_a), keep=0)))
+        states.append(_system_state(gen, _reduce(gen, joint), validate_states))
 
     return Trajectory(np.array(times), states, {"segments": seg_info, "cycle_dt": dt})
 
@@ -610,26 +586,13 @@ def _propagate_segment(
 
     Returns the state, the total substep count and the residual.
     """
-    a_frac, b_frac = a / dt, b / dt
-    d = gen.total_dim
-    closed = gen.is_closed
-    small = d <= SUPEROP_PATH_MAX_DIM
-
+    path = _path(gen)
     totals = {}
 
     def run(s: int) -> np.ndarray:
-        zetas, widths, _ = _substep_grid(gen.g, a_frac, b_frac, s)
-        totals[s] = len(zetas)
-        out = joint
-        for zeta, dzeta in zip(zetas, widths):
-            if closed:
-                u = _closed_step(gen, zeta, dzeta, dt)
-                out = u @ out @ u.conj().T
-            elif small:
-                out = unvec(_open_step_super(gen, zeta, dzeta, dt) @ vec(out), d)
-            else:
-                out = _open_step_matvec(gen, zeta, dzeta, dt, out)
-        return out
+        grid = _substep_grid(gen.g, a / dt, b / dt, s)
+        totals[s] = grid[2][-1]
+        return _sweep(gen, path, dt, grid, joint)[-1]
 
     out, s, resid = _refine_doubling(
         run, trace_distance, start=1, tol=tol, cap=cap, what="intra-cycle segment"

@@ -43,6 +43,8 @@ EXPERIMENT_KINDS = (
     "gradual",
     "lie",
 )
+# analysis kinds default to the small qubit-qubit reduction
+QUBIT_DEFAULT_KINDS = frozenset({"chernoff", "dissipative", "strobe", "gradual", "lie"})
 
 
 class InvariantViolationError(RuntimeError):

@@ -291,6 +291,14 @@ def _check_actuator_state(gen: CycleGenerator, rho_A: DensityMatrix):
         )
 
 
+def _coupling_average(gen: CycleGenerator, rho_A: DensityMatrix) -> np.ndarray:
+    """The actuator-averaged interaction tr_A[H_SA (1 kron rho_A)]."""
+    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
+    return partial_trace_matrix(
+        gen.h_SA.matrix @ np.kron(np.eye(d_s), rho_A.matrix), (d_s, d_a), keep=0
+    )
+
+
 def effective_hamiltonian(gen: CycleGenerator, rho_A: DensityMatrix) -> Operator:
     """H_S plus the mean coupling times the actuator-averaged interaction.
 
@@ -298,12 +306,7 @@ def effective_hamiltonian(gen: CycleGenerator, rho_A: DensityMatrix) -> Operator
     generated by this Hamiltonian (for closed intra-cycle dynamics).
     """
     _check_actuator_state(gen, rho_A)
-    d_s = gen.space_S.total_dim
-    d_a = gen.space_A.total_dim
-    averaged = partial_trace_matrix(
-        gen.h_SA.matrix @ np.kron(np.eye(d_s), rho_A.matrix), (d_s, d_a), keep=0
-    )
-    return Operator(gen.h_S.matrix + gen.g.mean * averaged, gen.space_S)
+    return Operator(gen.h_S.matrix + gen.g.mean * _coupling_average(gen, rho_A), gen.space_S)
 
 
 def phi1_super(gen: CycleGenerator, rho_A: DensityMatrix) -> SuperOperator:

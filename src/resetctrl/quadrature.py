@@ -2,7 +2,9 @@
 
 Piecewise-continuous integrands are handled by splitting the domain at
 supplied breakpoints; within each smooth piece the node count doubles
-until two successive refinements agree to tolerance.
+until two successive refinements agree to tolerance. The doubling
+ladder, ``_refine_doubling``, is also the one that refines the substep
+count of every propagator in ``dynamics``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,36 @@ def _fixed_quad(f: Callable[[float], object], lo: float, hi: float, n: int):
     return half * total
 
 
+def _refine_doubling(
+    run: Callable[[int], object],
+    distance: Callable[[object, object], float],
+    start: int,
+    tol: float | None,
+    cap: int,
+    what: str,
+) -> tuple[object, int, float]:
+    """Double a resolution from ``start`` until successive outputs agree.
+
+    Returns the accepted output, its resolution and the residual
+    ``distance(current, previous)``; no resolution above ``cap`` is run.
+    ``tol=None`` fixes the resolution: ``run(start)`` is accepted as is.
+    """
+    if tol is None:
+        return run(start), start, 0.0
+    s = max(1, start)
+    resid = np.inf
+    if s <= cap:
+        prev = run(s)
+        while 2 * s <= cap:
+            s *= 2
+            cur = run(s)
+            resid = distance(cur, prev)
+            if resid < tol:
+                return cur, s, resid
+            prev = cur
+    raise ConvergenceError(f"{what} did not converge by cap {cap}", resid, s)
+
+
 def integrate_scalar(
     f: Callable[[float], float],
     a: float = 0.0,
@@ -53,15 +85,11 @@ def integrate_scalar(
     if b <= a:
         return 0.0
     segs = _segments(a, b, breakpoints)
-    n = start_nodes
-    prev = sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs)
-    while n <= node_cap:
-        n *= 2
-        cur = sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs)
-        if abs(cur - prev) < tol:
-            return float(cur)
-        prev = cur
-    raise ConvergenceError("scalar quadrature did not converge", abs(cur - prev), n)
+    value, _, _ = _refine_doubling(
+        lambda n: sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs),
+        lambda cur, prev: abs(cur - prev), start_nodes, tol, node_cap, "scalar quadrature",
+    )
+    return float(value)
 
 
 def integrate_operator(
@@ -78,14 +106,13 @@ def integrate_operator(
     if b <= a:
         raise ValueError("integrate_operator needs b > a")
     segs = _segments(a, b, breakpoints)
-    n = start_nodes
-    prev = sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs)
-    while n <= node_cap:
-        n *= 2
-        cur = sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs)
+
+    def distance(cur: np.ndarray, prev: np.ndarray) -> float:
         scale = max(float(np.linalg.norm(cur)), 1e-300)
-        resid = float(np.linalg.norm(cur - prev)) / scale
-        if resid < rtol:
-            return cur
-        prev = cur
-    raise ConvergenceError("operator quadrature did not converge", resid, n)
+        return float(np.linalg.norm(cur - prev)) / scale
+
+    value, _, _ = _refine_doubling(
+        lambda n: sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs),
+        distance, start_nodes, rtol, node_cap, "operator quadrature",
+    )
+    return value

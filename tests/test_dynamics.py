@@ -9,6 +9,7 @@ from resetctrl.config import qubit_defaults
 from resetctrl.dynamics import (
     ResetSchedule,
     _cf4_couplings,
+    _path,
     _substep_grid,
     Trajectory,
     cycle_map,
@@ -435,10 +436,10 @@ def _reduced_map(apply_joint, rho_a):
     return out
 
 
-def _oracle_cycle(gen, dt, v0):
+def _oracle_cycle(gen, dt, v0, t_end=None):
     # dv/dt = L(t / dt) v on the vectorized Lindblad equation, integrated
-    # over one cycle by an independent RK method; v0 is a vector or a
-    # matrix of columns
+    # over one cycle (or up to t_end inside it) by an independent RK
+    # method; v0 is a vector or a matrix of columns
     l_free, l_sa = gen.free_super.matrix, gen.coupling_super.matrix
     shape = v0.shape
 
@@ -446,7 +447,7 @@ def _oracle_cycle(gen, dt, v0):
         return ((l_free + gen.g(t / dt) * l_sa) @ y.reshape(shape)).ravel()
 
     sol = solve_ivp(
-        rhs, (0.0, dt), v0.astype(complex).ravel(),
+        rhs, (0.0, dt if t_end is None else t_end), v0.astype(complex).ravel(),
         method="DOP853", rtol=1e-13, atol=1e-13,
     )
     assert sol.success
@@ -572,6 +573,37 @@ class TestOpenAgainstOracle:
         dense = unvec(prop @ vec(np.kron(rho0.matrix, rho_a.matrix)), 20)
         reduced = partial_trace_matrix(dense, (10, 2), keep=0)
         assert trace_distance(traj.states[-1].matrix, reduced) <= 1e-11
+
+
+class TestOpenIntraCycleAgainstOracle:
+    """Interior samples of one open cycle on both open paths.
+
+    The second sample is reached by a segment that starts from the first
+    one, so segment chaining is checked too.
+    """
+
+    @staticmethod
+    def _check(gen, rho_a, rho0, dt):
+        pts = [dt / 3, 2 * dt / 3]
+        traj = intra_cycle_trajectory(gen, rho0, rho_a, dt, pts, step_tol=1e-10)
+        d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
+        v0 = vec(np.kron(rho0.matrix, rho_a.matrix))
+        for tau, state in zip(pts, traj.states):
+            v = _oracle_cycle(gen, dt, v0, t_end=tau)
+            exact = partial_trace_matrix(unvec(v, gen.total_dim), (d_s, d_a), keep=0)
+            assert trace_distance(state.matrix, exact) <= 1e-9
+
+    def test_superop_segments_match_oracle(self, rng):
+        gen, rho_a = random_open_qq(rng)
+        gen = dataclasses.replace(gen, g=sin_squared(1.5))
+        assert _path(gen).name == "superop"
+        rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
+        self._check(gen, rho_a, rho0, 0.7)
+
+    def test_matvec_segments_match_oracle(self):
+        gen, rho_a, rho0 = _open_matvec_model()
+        assert _path(gen).name == "matvec"
+        self._check(gen, rho_a, rho0, 0.3)
 
 
 class TestOpenFactorsAreChannels:

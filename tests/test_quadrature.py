@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from resetctrl.analysis import omega1_super
+from resetctrl.generators import phi1_super, phi2_super
+from resetctrl.qcore import ConvergenceError
 from resetctrl.quadrature import integrate_operator, integrate_scalar
+from helpers import generic_qq
 
 
 def test_polynomial():
@@ -36,3 +40,29 @@ def test_operator_valued(rng):
     got = integrate_operator(lambda z: a * np.exp(-z) + b * z)
     expected = a * (1 - np.exp(-1.0)) + b / 2
     np.testing.assert_allclose(got, expected, atol=1e-10)
+
+
+def test_start_above_cap_is_non_convergence():
+    with pytest.raises(ConvergenceError):
+        integrate_scalar(np.cos, start_nodes=16, node_cap=8)
+    with pytest.raises(ConvergenceError):
+        integrate_operator(lambda z: z * np.eye(2), start_nodes=16, node_cap=8)
+
+
+def test_omega1_start_above_cap_is_non_convergence():
+    # the default node_cap of omega1_super is 4096
+    gen, rho_a = generic_qq()
+    with pytest.raises(ConvergenceError):
+        omega1_super(phi1_super(gen, rho_a), phi2_super(gen, rho_a), 1.0, nodes=8192)
+
+
+def test_no_node_count_above_cap():
+    nodes = []
+
+    def f(z):
+        nodes.append(z)
+        return np.sin(200.0 * z)  # far from resolved by 16 nodes
+
+    with pytest.raises(ConvergenceError):
+        integrate_scalar(f, node_cap=16)
+    assert len(nodes) == 8 + 16
