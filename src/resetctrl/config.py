@@ -83,10 +83,6 @@ def _parse_complex_matrix(data, what: str) -> np.ndarray:
     raise ConfigError(f"{what}: expected a matrix of numbers or [re, im] pairs")
 
 
-def _serialize_complex_matrix(m: np.ndarray):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
-
-
 @dataclass(frozen=True)
 class StatesSpec:
     rho_a_bloch: tuple[float, float, float] | None = (1.0, 0.0, 0.0)

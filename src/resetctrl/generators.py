@@ -173,14 +173,31 @@ class CycleGenerator:
         return np.kron(self.h_S.matrix, np.eye(d_a)) + np.kron(np.eye(d_s), self.h_A.matrix)
 
     @cached_property
-    def h_commutator_full(self) -> np.ndarray:
-        """i[H_free, H_SA]: the Hermitian direction of the Magnus-4 correction.
+    def magnus_basis(self) -> np.ndarray:
+        """The ten Hermitian directions of a Magnus-6 exponent, stacked.
 
-        H(zeta) = H_free + g(zeta) H_SA, so [H(z2), H(z1)] is this one
-        constant matrix times i (g(z2) - g(z1)) for any pair of times.
+        H(zeta) = H_free + g(zeta) H_SA, so every commutator in the
+        Magnus-6 exponent is a g-weighted sum of constant nested
+        commutators of F = H_free and C = H_SA. Row j holds i^(n-1) N_j,
+        flattened, for the nested commutator N_j of n letters, in the order
+        F, C, [F,C], [F,[F,C]], [C,[F,C]], [F,[F,[F,C]]], [C,[F,[F,C]]],
+        [C,[C,[F,C]]], [[F,C],[F,[F,C]]], [[F,C],[C,[F,C]]] ([F,[C,[F,C]]]
+        equals [C,[F,[F,C]]] by the Jacobi identity). The array is the real
+        view (two floats per entry), so a real combination of the rows is
+        one real matrix-vector product.
         """
-        h_free, h_sa = self.h_free_full, self.h_SA.matrix
-        return 1j * (h_free @ h_sa - h_sa @ h_free)
+        f, c = self.h_free_full, self.h_SA.matrix
+        com = lambda a, b: a @ b - b @ a
+        k1 = com(f, c)
+        k2f, k2c = com(f, k1), com(c, k1)
+        nested = (f, c, k1, k2f, k2c, com(f, k2f), com(c, k2f), com(c, k2c),
+                  com(k1, k2f), com(k1, k2c))
+        letters = (1, 1, 2, 3, 3, 4, 4, 4, 5, 5)
+        rows = []
+        for n, m in zip(letters, nested):
+            b = 1j ** (n - 1) * m
+            rows.append((0.5 * (b + b.conj().T)).ravel())
+        return np.ascontiguousarray(rows).view(float)
 
     @cached_property
     def jumps_free_full(self) -> tuple[np.ndarray, ...]:

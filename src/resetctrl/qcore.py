@@ -100,9 +100,6 @@ class Operator:
     def dim(self) -> int:
         return self.space.total_dim
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.space)
-
     def is_hermitian(self, tol: float = TOL_HERM) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
 

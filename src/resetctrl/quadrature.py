@@ -48,25 +48,30 @@ def _refine_doubling(
     tol: float | None,
     cap: int,
     what: str,
-) -> tuple[object, int, float]:
+) -> tuple[object, int, float, list[tuple[int, float]]]:
     """Double a resolution from ``start`` until successive outputs agree.
 
-    Returns the accepted output, its resolution and the residual
-    ``distance(current, previous)``; no resolution above ``cap`` is run.
-    ``tol=None`` fixes the resolution: ``run(start)`` is accepted as is.
+    Returns the accepted output, its resolution, the residual
+    ``distance(current, previous)`` and the history of the ladder: one
+    (resolution, residual) pair per level compared with the one before,
+    ending with the accepted level. No resolution above ``cap`` is run.
+    ``tol=None`` fixes the resolution: ``run(start)`` is accepted as is,
+    with residual 0 and an empty history.
     """
     if tol is None:
-        return run(start), start, 0.0
+        return run(start), start, 0.0, []
     s = max(1, start)
     resid = np.inf
+    history = []
     if s <= cap:
         prev = run(s)
         while 2 * s <= cap:
             s *= 2
             cur = run(s)
             resid = distance(cur, prev)
+            history.append((s, resid))
             if resid < tol:
-                return cur, s, resid
+                return cur, s, resid, history
             prev = cur
     raise ConvergenceError(f"{what} did not converge by cap {cap}", resid, s)
 
@@ -85,7 +90,7 @@ def integrate_scalar(
     if b <= a:
         return 0.0
     segs = _segments(a, b, breakpoints)
-    value, _, _ = _refine_doubling(
+    value, *_ = _refine_doubling(
         lambda n: sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs),
         lambda cur, prev: abs(cur - prev), start_nodes, tol, node_cap, "scalar quadrature",
     )
@@ -111,7 +116,7 @@ def integrate_operator(
         scale = max(float(np.linalg.norm(cur)), 1e-300)
         return float(np.linalg.norm(cur - prev)) / scale
 
-    value, _, _ = _refine_doubling(
+    value, *_ = _refine_doubling(
         lambda n: sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs),
         distance, start_nodes, rtol, node_cap, "operator quadrature",
     )
