@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .dynamics import SUPEROP_PATH_MAX_DIM, ResetSchedule, cycle_map, evolve_with_resets
+from .dynamics import ResetSchedule, cycle_map, evolve_with_resets, intra_cycle_trajectory
 from .generators import (
     CycleGenerator,
     SwitchingFunction,
@@ -29,7 +29,6 @@ from .qcore import (
     SuperOperator,
     expm_hermitian,
     mat_exp,
-    partial_trace_matrix,
     trace_distance,
     trace_norm,
     unvec,
@@ -143,14 +142,6 @@ def induced_trace_norm(matrix: np.ndarray, dim: int, probes=None) -> float:
     return max(trace_norm(unvec(matrix @ vec(p), dim)) for p in probes)
 
 
-def _check_superop_path(gen: CycleGenerator):
-    if gen.total_dim > SUPEROP_PATH_MAX_DIM:
-        raise ValueError(
-            f"joint dimension {gen.total_dim} too large for the superoperator path "
-            f"(limit {SUPEROP_PATH_MAX_DIM})"
-        )
-
-
 def product_formula_superop(
     gen: CycleGenerator,
     rho_A: DensityMatrix,
@@ -160,7 +151,6 @@ def product_formula_superop(
     map_tol: float = 1e-10,
 ) -> SuperOperator:
     """The n-cycle reduced map: n-fold composition of the single-cycle map."""
-    _check_superop_path(gen)
     if n < 1:
         raise ValueError("n must be >= 1")
     single = cycle_map(gen, rho_A, t / n, tol=map_tol)
@@ -184,7 +174,6 @@ def chernoff_deviation(
     superoperator) is supplied, its 1/n multiple is subtracted, leaving
     the second-order residual.
     """
-    _check_superop_path(gen)
     if t == 0.0:
         return 0.0
     product = product_formula_superop(gen, rho_A, t, n, map_tol=map_tol)
@@ -265,8 +254,10 @@ def dissipative_scaling(
     For each reset rate the end-of-cycle trace distance to the
     effective-Hamiltonian-evolved pure state is fitted linearly in t;
     the slopes are then fitted against f on a log-log scale (the
-    predicted order is -1). Times snap to integer cycle counts.
+    predicted order is -1). Times snap to integer cycle counts; the
+    rates are scanned in ascending order.
     """
+    f_list = sorted(float(f) for f in f_list)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     psi0 = psi0 / np.linalg.norm(psi0)
     h_eff = effective_hamiltonian(gen, rho_A).matrix
@@ -274,7 +265,6 @@ def dissipative_scaling(
 
     scans = []
     for f in f_list:
-        f = float(f)
         cycle_counts = sorted({max(1, round(f * t)) for t in t_grid})
         n_max = cycle_counts[-1]
         schedule = ResetSchedule.uniform(n_max, n_max / f)
@@ -291,7 +281,7 @@ def dissipative_scaling(
     all_devs = [d for scan in scans for d in scan.deviations]
     if max(all_devs) <= exact_floor:
         report = ScalingReport(
-            tuple(float(f) for f in f_list), tuple(slopes), float("nan"), float("nan"), exact=True
+            tuple(f_list), tuple(slopes), float("nan"), float("nan"), exact=True
         )
     else:
         report = fit_order(f_list, slopes)
@@ -345,8 +335,6 @@ def measured_stroboscopic_deviation(
     step_tol: float = 1e-9,
 ) -> Operator:
     """Measured counterpart: first-order effective state minus full state."""
-    from .dynamics import intra_cycle_trajectory
-
     h_eff = effective_hamiltonian(gen, rho_A).matrix
     eff_first = rho_S.matrix - 1j * tau * (h_eff @ rho_S.matrix - rho_S.matrix @ h_eff)
     traj = intra_cycle_trajectory(
@@ -475,15 +463,14 @@ def gradual_reset_deviation(
     kappa: float,
     t: float,
 ) -> float:
-    """Trace distance from the effective trajectory under damped resets."""
-    _check_superop_path(gen)
-    damped = gradual_reset_generator(gen, rho_A, kappa)
-    total = damped.free_super.matrix + damped.g.mean * damped.coupling_super.matrix
-    joint = np.kron(rho_S0.matrix, rho_A.matrix)
-    evolved = unvec(mat_exp(t * total) @ vec(joint), damped.total_dim)
-    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
-    reduced = partial_trace_matrix(evolved, (d_s, d_a), keep=0)
+    """Trace distance from the effective trajectory under damped resets.
 
+    The damped generator has a constant g, so both CF4 exponents of a
+    substep are equal and every substep count is exact: the propagation
+    settles at two substeps, on whichever path ``dynamics`` picks.
+    """
+    damped = gradual_reset_generator(gen, rho_A, kappa)
+    reduced = intra_cycle_trajectory(damped, rho_S0, rho_A, t, [t]).states[-1].matrix
     h_eff = effective_hamiltonian(gen, rho_A).matrix
     u = expm_hermitian(h_eff, -1j * t)
     return trace_distance(reduced, u @ rho_S0.matrix @ u.conj().T)

@@ -27,7 +27,11 @@ Three execution paths exist, and ``_path`` chooses between them: a
 closed generator propagates the joint unitary; an open one with joint
 dimension up to ``SUPEROP_PATH_MAX_DIM`` the dense superoperator; a
 larger open one steps the joint state with matrix-free exponentials and
-never materializes a superoperator. One sweep, ``_sweep``, runs the
+never materializes a superoperator. This module holds the only size
+rule of the package: ``cycle_map`` refuses a dense reduced map of an
+open generator above ``SUPEROP_PATH_MAX_DIM``; everything else runs at
+any size. A matrix-free exponential is split by a norm bound of the
+generator, never by the state it acts on. One sweep, ``_sweep``, runs the
 substep factors of any path over the grid, and one ladder,
 ``quadrature._refine_doubling``, doubles the substeps until successive
 outputs agree. Kernel and segment metadata record that ladder as
@@ -248,34 +252,28 @@ def _open_step_matvec(
     """CF4 factor of a substep as a map on joint states, without materializing L."""
     half = 0.5 * dzeta * dt
     l_free, l_sa = gen.apply_free_liouvillian, gen.apply_coupling_liouvillian
+    b_free, b_sa = gen.free_lindblad.norm_bound, gen.coupling_lindblad.norm_bound
     first, second = (
-        lambda m, c=c: half * (l_free(m) + c * l_sa(m)) for c in _cf4_couplings(gen, zeta, dzeta)
+        (lambda m, c=c: half * (l_free(m) + c * l_sa(m)), half * (b_free + abs(c) * b_sa))
+        for c in _cf4_couplings(gen, zeta, dzeta)
     )
-    return lambda rho: _expmv(second, _expmv(first, rho))
+    return lambda rho: _expmv(*second, _expmv(*first, rho))
 
 
-def _expmv(apply_l: Callable[[np.ndarray], np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """exp(X) rho for the linear map X = ``apply_l``, by its power series.
+def _expmv(apply_x: Callable[[np.ndarray], np.ndarray], bound: float, rho: np.ndarray):
+    """exp(X) rho for the linear map X = ``apply_x`` with ||X|| <= ``bound``.
 
-    Substep exponents are small by construction, so the series applied
-    term by term converges at machine precision after a handful of
-    Liouvillian applications; a splitting guard keeps the series safe if
-    a caller forces coarse substeps.
+    The exponential is split into ceil(bound) pieces of norm <= 1 (sized
+    from the generator, never from the state; cf. Al-Mohy & Higham, SIAM
+    J. Sci. Comput. 33, 488 (2011)), so the k-th series term of a piece is
+    at most 1/k! of its input and the series cannot stall.
     """
-    norm0 = np.linalg.norm(rho)
-    first = apply_l(rho)
-    growth = np.linalg.norm(first) / max(norm0, 1e-300)
-    splits = max(0, int(np.ceil(np.log2(max(growth, 1.0)))))
-    pieces = 2 ** splits
-    scale = 1.0 / pieces
-
-    out = rho
-    for piece in range(pieces):
-        term = out
-        acc = out.copy()
+    pieces = max(1, math.ceil(bound))
+    for _ in range(pieces):
+        term = rho
+        acc = rho.copy()
         for k in range(1, 60):
-            # the first term of the first piece is the growth probe
-            term = (first if piece == 0 and k == 1 else apply_l(term)) * (scale / k)
+            term = apply_x(term) * (1.0 / (pieces * k))
             acc += term
             if np.linalg.norm(term) <= 1e-15 * np.linalg.norm(acc):
                 break
@@ -283,8 +281,8 @@ def _expmv(apply_l: Callable[[np.ndarray], np.ndarray], rho: np.ndarray) -> np.n
             raise ConvergenceError(
                 "substep exponential series stalled", float(np.linalg.norm(term)), 60
             )
-        out = acc
-    return out
+        rho = acc
+    return rho
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,23 @@ class _LindbladForm:
             k = k - 0.5 * (l.conj().T @ l)
         return cls(k, k.conj().T, tuple((l, l.conj().T) for l in jumps))
 
+    @cached_property
+    def norm_bound(self) -> float:
+        """Upper bound on ||L m|| / ||m|| (Frobenius norm) over all m.
+
+        2 ||K'||_2 bounds K m + m K^dag, with K' = K + i tr(H)/d, which
+        gives the same L. The jump part J is completely positive, so
+        ||J|| <= (||J(I)|| ||J^dag(I)||)^(1/2), which does not depend on
+        how the dissipator is split into jump operators.
+        """
+        d = self.k.shape[0]
+        bound = 2.0 * np.linalg.norm(self.k - 1j * np.trace(self.k).imag / d * np.eye(d), 2)
+        if self.pairs:
+            out = sum(l @ l_dag for l, l_dag in self.pairs)
+            into = sum(l_dag @ l for l, l_dag in self.pairs)
+            bound += np.sqrt(np.linalg.norm(out, 2) * np.linalg.norm(into, 2))
+        return float(bound)
+
     def apply(self, m: np.ndarray) -> np.ndarray:
         out = self.k @ m + m @ self.k_dag
         for l, l_dag in self.pairs:

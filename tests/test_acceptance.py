@@ -121,6 +121,34 @@ def test_c04_dissipative_scaling_law():
     )
 
 
+def _oscillator_30():
+    """The illustration model at its own cutoff (joint dimension 60)."""
+    model = OscillatorQubitModel(1.0, 1.0, (1.0, 0.0, 0.0), 30, sin_squared(2.0))
+    return build_oscillator_qubit(model), coherent_state((1 + 1j) / np.sqrt(2), 30)
+
+
+@pytest.mark.parametrize(
+    "bloch, low, high",
+    [
+        ((0.6, 0.0, 0.5), -1.3, -0.7),  # generic reset state: O(t/f)
+        ((1.0, 0.0, 0.0), -2.4, -1.6),  # (I+sx)/2, first order vanishes: O(t/f^2)
+    ],
+    ids=["generic", "degenerate"],
+)
+def test_c04_dissipative_scaling_law_on_oscillator(bloch, low, high):
+    gen, psi0 = _oscillator_30()
+    result = dissipative_scaling(
+        gen, bloch_density(bloch), psi0, [20.0, 40.0, 80.0], [0.5, 1.0, 1.5, 2.0]
+    )
+    r2s = [scan.fit.r_squared for scan in result.scans]
+    order = result.freq_report.fitted_order
+    _verdict(
+        f"C04 dissipative law on the d=60 oscillator, rho_A bloch {bloch}",
+        all(r2 >= 0.95 for r2 in r2s) and low <= order <= high,
+        f"per-f r^2={[f'{r:.4f}' for r in r2s]}, slope-vs-f order={order:.3f}",
+    )
+
+
 _FIG1_CUTOFF = 30
 _FIG1_SAMPLES = 8
 
@@ -215,6 +243,24 @@ def test_c06_stroboscopic_error():
         "C06 stroboscopic error",
         ok,
         f"tau-order={order:.3f}, bound-grid={bound_ok}, constant-g deviation={const_dev:.2e}",
+    )
+
+
+def test_c06_stroboscopic_error_on_oscillator():
+    gen, psi0 = _oscillator_30()
+    rho_a = bloch_density((0.6, 0.0, 0.5))
+    rho0 = DensityMatrix.pure(psi0, (30,))
+    dts = [0.2, 0.1, 0.05, 0.025]
+    resids = []
+    for dt in dts:
+        pred = stroboscopic_deviation(gen, rho_a, rho0, dt / 2, dt).matrix
+        meas = measured_stroboscopic_deviation(gen, rho_a, rho0, dt / 2, dt).matrix
+        resids.append(trace_norm(meas - pred))
+    order = fit_order([dt / 2 for dt in reversed(dts)], list(reversed(resids))).fitted_order
+    _verdict(
+        "C06 stroboscopic error on the d=60 oscillator",
+        1.6 <= order <= 2.4,
+        f"tau-order={order:.3f}, residuals={[f'{r:.2e}' for r in resids]}",
     )
 
 

@@ -121,14 +121,19 @@ class TestChernoff:
         assert devs[2] <= devs[1] * 1.05
 
     def test_dimension_guard(self):
+        # the one size rule left: no dense open reduced map above the limit
         from resetctrl.models import OscillatorQubitModel, build_oscillator_qubit
         from resetctrl import bloch_density
 
-        gen = build_oscillator_qubit(
-            OscillatorQubitModel(1.0, 1.0, (1.0, 0.0, 0.0), 16, sin_squared(2.0))
+        rho_a = bloch_density((1.0, 0.0, 0.0))
+        gen = dataclasses.replace(
+            build_oscillator_qubit(
+                OscillatorQubitModel(1.0, 1.0, (1.0, 0.0, 0.0), 16, sin_squared(2.0))
+            ),
+            jumps_A=reset_jumps(rho_a, 1.0),
         )
         with pytest.raises(ValueError, match="dimension"):
-            chernoff_deviation(gen, bloch_density((1.0, 0.0, 0.0)), 1.0, 4)
+            chernoff_deviation(gen, rho_a, 1.0, 4)
 
     def test_product_formula_is_map_power(self):
         gen, rho_a = generic_qq()

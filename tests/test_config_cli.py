@@ -226,15 +226,58 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "kind, section, field, order_key",
+        [
+            ("chernoff", "experiment", "chernoff_ns", "fitted_order"),
+            ("dissipative", "schedule", "f_list", "slope_order"),
+        ],
+    )
+    def test_reversed_grid_fits_the_same_order(self, tmp_path, kind, section, field, order_key):
+        orders = []
+        for name, flip in (("ascending", False), ("reversed", True)):
+            data = json.loads(qubit_defaults().dumps())
+            data[section][field] = sorted(data[section][field], reverse=flip)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / name
+            assert main([kind, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            orders.append(json.loads((out / f"{kind}.meta.json").read_text())[order_key])
+        assert orders[0] == orders[1]
+
+    @pytest.mark.parametrize(
+        "kind, section",
+        [
+            ("chernoff", {"experiment": {"chernoff_ns": [16, 16, 32]}}),
+            ("dissipative", {"schedule": {"f_list": [20.0, 20.0, 40.0]}}),
+            ("gradual", {"experiment": {"gradual_kappas": [4.0, 8.0, 4.0]}}),
+        ],
+    )
+    def test_repeated_grid_entries_exit_one(self, tmp_path, kind, section):
+        data = json.loads(qubit_defaults().dumps())
+        for key, value in section.items():
+            data[key].update(value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / f"{kind}.csv").exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"bogus": 1}')
         assert main(["chernoff", "--config", str(path), "--out", str(tmp_path)]) == 1
 
-    def test_oversized_model_for_analysis_kind(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["chernoff", "dissipative", "strobe", "gradual"])
+    def test_oversized_model_for_analysis_kind(self, tmp_path, kind):
+        # the analysis kinds accept the oscillator model above the dense
+        # superoperator limit (cutoff 13: joint dimension 26)
         path = tmp_path / "cfg.json"
-        path.write_text(default_config().dumps())  # oscillator at cutoff 30
-        assert main(["chernoff", "--config", str(path), "--out", str(tmp_path)]) == 1
+        path.write_text(default_config().dumps())
+        out = tmp_path / "out"
+        args = [kind, "--config", str(path), "--cutoff", "13", "--out", str(out), "--quiet"]
+        assert main(args) == 0
+        header, rows = read_csv(out / f"{kind}.csv")
+        assert rows
 
     def test_non_convergence_exit_code(self, tmp_path):
         cfg = dataclasses.replace(

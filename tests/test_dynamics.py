@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from resetctrl.analysis import fit_order, reset_jumps
+from resetctrl.analysis import fit_order, gradual_reset_generator, reset_jumps
 from resetctrl.config import qubit_defaults
 from resetctrl.dynamics import (
     ResetSchedule,
@@ -42,7 +42,16 @@ from resetctrl.qcore import (
     unvec,
     vec,
 )
-from resetctrl.models import SIGMA_X, annihilation, number_operator, quadrature_x
+from resetctrl.models import (
+    SIGMA_X,
+    OscillatorQubitModel,
+    annihilation,
+    bloch_density,
+    build_oscillator_qubit,
+    coherent_state,
+    number_operator,
+    quadrature_x,
+)
 from helpers import QQ, generic_qq, random_closed_qq, random_open_qq, random_pure
 
 
@@ -642,6 +651,32 @@ class TestOpenAgainstOracle:
         dense = unvec(prop @ vec(np.kron(rho0.matrix, rho_a.matrix)), 20)
         reduced = partial_trace_matrix(dense, (10, 2), keep=0)
         assert trace_distance(traj.states[-1].matrix, reduced) <= 1e-11
+
+
+class TestMatvecSeriesUnderStrongReset:
+    """Matrix-free steps on a state that is stationary for a large dissipator.
+
+    The reset dissipator kappa (rho_A tr_A(.) - .) annihilates
+    rho_S kron rho_A, so the first series term is small while L is large.
+    The damped generator has a constant g, so its CF4 steps are exact and
+    the dense exponential of the joint Liouvillian is the oracle.
+    """
+
+    @pytest.mark.parametrize("kappa", [4.0, 64.0])
+    def test_gradual_generator_matches_dense_exponential(self, kappa):
+        cutoff = 13
+        model = OscillatorQubitModel(1.0, 1.0, (1.0, 0.0, 0.0), cutoff, sin_squared(2.0))
+        rho_a = bloch_density((0.6, 0.0, 0.5))
+        damped = gradual_reset_generator(build_oscillator_qubit(model), rho_a, kappa)
+        assert _path(damped).name == "matvec"
+        rho0 = DensityMatrix.pure(coherent_state((1 + 1j) / np.sqrt(2), cutoff), (cutoff,))
+        t = 2.0
+        traj = intra_cycle_trajectory(damped, rho0, rho_a, t, [t])
+
+        total = damped.free_super.matrix + damped.g.mean * damped.coupling_super.matrix
+        joint = mat_exp(t * total) @ vec(np.kron(rho0.matrix, rho_a.matrix))
+        exact = partial_trace_matrix(unvec(joint, damped.total_dim), (cutoff, 2), keep=0)
+        assert np.max(np.abs(traj.states[-1].matrix - exact)) <= 1e-13
 
 
 class TestOpenIntraCycleAgainstOracle:

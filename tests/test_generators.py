@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from resetctrl.generators import (
     CycleGenerator,
+    _LindbladForm,
     SwitchingFunction,
     constant,
     effective_hamiltonian,
@@ -30,7 +31,17 @@ from resetctrl.qcore import (
     vec,
 )
 from resetctrl import bloch_density
-from helpers import QQ, caption_qq, generic_qq, random_closed_qq, random_density, random_open_qq
+from helpers import (
+    QQ,
+    caption_qq,
+    generic_qq,
+    random_closed_qq,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    random_open_qq,
+    random_unitary,
+)
 
 
 class TestSwitchingFunctions:
@@ -105,6 +116,32 @@ class TestCycleGenerator:
         )
         assert flagged.validity_report()
         assert not gen.validity_report()
+
+
+class TestLindbladNormBound:
+    def test_bounds_the_superoperator_norm(self, rng):
+        # vec is an isometry, so the Frobenius operator norm of L is the
+        # spectral norm of its superoperator matrix
+        for _ in range(20):
+            gen, _ = random_open_qq(rng)
+            for form, sup in (
+                (gen.free_lindblad, gen.free_super),
+                (gen.coupling_lindblad, gen.coupling_super),
+            ):
+                assert np.linalg.norm(sup.matrix, 2) <= form.norm_bound * (1 + 1e-12)
+
+    def test_independent_of_the_jump_operator_split(self, rng):
+        h = random_hermitian(rng, 4)
+        jumps = [random_matrix(rng, 4) for _ in range(3)]
+        u = random_unitary(rng, 3)
+        mixed = [sum(u[i, j] * jumps[j] for j in range(3)) for i in range(3)]
+        bound = _LindbladForm.of(h, jumps).norm_bound
+        assert _LindbladForm.of(h, mixed).norm_bound == pytest.approx(bound, rel=1e-12)
+
+    def test_closed_bound_ignores_energy_offset(self, rng):
+        h = random_hermitian(rng, 4)
+        bound = _LindbladForm.of(h, ()).norm_bound
+        assert _LindbladForm.of(h + 50.0 * np.eye(4), ()).norm_bound == pytest.approx(bound)
 
 
 class TestEffectiveHamiltonian:
