@@ -172,12 +172,17 @@ def chernoff_deviation(
     Measured in the probe-based induced trace norm. When
     ``first_order_correction`` (the t-dependent first-order coefficient
     superoperator) is supplied, its 1/n multiple is subtracted, leaving
-    the second-order residual.
+    the second-order residual. For a closed generator Phi_1 = -i[H_eff, .],
+    so the target exp(Phi_1 t) is conj(U) kron U with U = exp(-i H_eff t).
     """
     if t == 0.0:
         return 0.0
     product = product_formula_superop(gen, rho_A, t, n, map_tol=map_tol)
-    target = mat_exp(phi1_super(gen, rho_A).matrix * t)
+    if gen.is_closed:
+        u = expm_hermitian(effective_hamiltonian(gen, rho_A).matrix, -1j * t)
+        target = np.kron(u.conj(), u)
+    else:
+        target = mat_exp(phi1_super(gen, rho_A).matrix * t)
     diff = product.matrix - target
     if first_order_correction is not None:
         diff = diff - first_order_correction.matrix / n

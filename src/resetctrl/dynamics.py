@@ -27,11 +27,19 @@ Three execution paths exist, and ``_path`` chooses between them: a
 closed generator propagates the joint unitary; an open one with joint
 dimension up to ``SUPEROP_PATH_MAX_DIM`` the dense superoperator; a
 larger open one steps the joint state with matrix-free exponentials and
-never materializes a superoperator. This module holds the only size
-rule of the package: ``cycle_map`` refuses a dense reduced map of an
-open generator above ``SUPEROP_PATH_MAX_DIM``; everything else runs at
-any size. A matrix-free exponential is split by a norm bound of the
-generator, never by the state it acts on. One sweep, ``_sweep``, runs the
+never materializes a superoperator. On the closed path the map one cycle
+induces on the system is stored as system-space Kraus blocks: with
+rho_A = sum_k p_k |a_k><a_k|, M_jk = sqrt(p_k) (1 kron <j|) U (1 kron
+|a_k>), d_S x d_S blocks of the joint unitary (``_kraus``). Trajectory
+kernels apply them to the system state, and the closed ``cycle_map`` is
+sum conj(M) kron M; neither forms a joint state. Every Kraus set is
+checked once for sum M^dag M = 1. The open paths stay joint.
+
+This module holds the only size rule of the package: ``cycle_map``
+refuses a dense reduced map of an open generator above
+``SUPEROP_PATH_MAX_DIM``; everything else runs at any size. A
+matrix-free exponential is split by a norm bound of the generator,
+never by the state it acts on. One sweep, ``_sweep``, runs the
 substep factors of any path over the grid, and one ladder,
 ``quadrature._refine_doubling``, doubles the substeps until successive
 outputs agree. Kernel and segment metadata record that ladder as
@@ -84,6 +92,10 @@ _BREAKPOINT_SLACK = 1e-12
 
 # trajectory states are valid by construction up to accumulated roundoff
 _STATE_TOLS = dict(tol_herm=1e-9, tol_trace=1e-9, tol_psd=1e-7)
+# actuator eigenvalues below this fraction of the largest are roundoff and
+# get no Kraus blocks; a Kraus set must satisfy sum M^dag M = 1 to _KRAUS_TOL
+_ROUNDOFF_WEIGHT = 1e-14
+_KRAUS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -352,6 +364,65 @@ def _system_state(gen: CycleGenerator, m: np.ndarray, validate: bool) -> Density
     return DensityMatrix(op, **_STATE_TOLS) if validate else DensityMatrix.unchecked(op)
 
 
+def _actuator_columns(rho_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns sqrt|p_k| a_k over the eigenpairs (p_k, a_k) of rho_A, and the signs of p_k.
+
+    Eigenvalues at roundoff level are dropped, so a pure rho_A keeps one
+    column. A valid rho_A may have negative eigenvalues down to its
+    positivity tolerance; they keep their sign, so ``_kraus`` reproduces
+    tr_A[U (rho kron rho_A) U^dag] for every Hermitian rho_A.
+    """
+    p, vecs = np.linalg.eigh(rho_A)
+    keep = np.abs(p) > _ROUNDOFF_WEIGHT * np.max(np.abs(p))
+    return vecs[:, keep] * np.sqrt(np.abs(p[keep])), np.sign(p[keep])
+
+
+def _hstack(stack: np.ndarray, d: int) -> np.ndarray:
+    """[X_1; ...; X_n] (n d x d) -> [X_1 | ... | X_n] (d x n d)."""
+    return stack.reshape(-1, d, d).swapaxes(0, 1).reshape(d, -1)
+
+
+def _kraus(
+    u: np.ndarray, cols: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """System-space Kraus form of rho -> tr_A[U (rho kron rho_A) U^dag].
+
+    ``cols`` and ``signs`` come from ``_actuator_columns(rho_A)``. The
+    blocks M_jk = (1 kron <j|) U (1 kron cols_k) are d_S x d_S, and the
+    map is sum_jk s_k M_jk rho M_jk^dag. Returns the blocks and the
+    signed adjoints s M^dag, each stacked vertically, so that the map
+    costs two matmuls (``_kraus_apply``). Raises ValueError unless
+    sum s M^dag M is the identity to ``_KRAUS_TOL``.
+    """
+    d_a = cols.shape[0]
+    d_s = u.shape[0] // d_a
+    # axes (j, k, s, s'): blocks[j, k] = M_jk
+    blocks = (u.reshape(d_s, d_a, d_s, d_a) @ cols).transpose(1, 3, 0, 2)
+    left = blocks.reshape(-1, d_s)
+    right = (blocks.conj().swapaxes(2, 3) * signs[:, None, None]).reshape(-1, d_s)
+    defect = float(np.max(np.abs(_hstack(right, d_s) @ left - np.eye(d_s))))
+    if defect > _KRAUS_TOL:
+        raise ValueError(
+            f"cycle Kraus blocks are not trace preserving: "
+            f"max |sum M^dag M - 1| = {defect:.3e} > {_KRAUS_TOL:.0e}"
+        )
+    return left, right
+
+
+def _kraus_apply(kraus: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.ndarray:
+    left, right = kraus
+    return _hstack(left @ rho, rho.shape[0]) @ right
+
+
+def _kraus_super(kraus: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum s conj(M) kron M, the column-stacking matrix of the Kraus map."""
+    left, right = kraus
+    d = left.shape[1]
+    # conj(s M) = (s M^dag)^T
+    terms = np.einsum("iba,icd->acbd", right.reshape(-1, d, d), left.reshape(-1, d, d))
+    return terms.reshape(d * d, d * d)
+
+
 # ---------------------------------------------------------------------------
 # cycle propagators
 
@@ -425,7 +496,11 @@ def cycle_map(
         cap=substep_cap,
         what="cycle_map substep refinement",
     )
-    return SuperOperator(_reduced_super(gen, rho_A, lambda m: path.act(prop, m)), gen.space_S)
+    if path is _UNITARY:
+        reduced = _kraus_super(_kraus(prop, *_actuator_columns(rho_A.matrix)))
+    else:
+        reduced = _reduced_super(gen, rho_A, lambda m: path.act(prop, m))
+    return SuperOperator(reduced, gen.space_S)
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +512,39 @@ class _CycleKernel:
 
     The cycle is split into ``parts`` equal sample intervals, each
     propagated with ``substeps_per_piece`` substeps per piece of the
-    breakpoint-aligned grid; ``substeps`` is the total. Dense paths store
-    the partial products up to each sample; the matrix-free path steps
-    every joint state through the factors instead.
+    breakpoint-aligned grid; ``substeps`` is the total. The closed path
+    stores the Kraus blocks of the partial products up to each sample
+    (``actuator`` is ``_actuator_columns(rho_a)``), the dense open path
+    the partial products themselves; the matrix-free path steps every
+    joint state through the factors instead.
     """
 
-    def __init__(self, gen: CycleGenerator, gap: float, substeps_per_piece: int, parts: int):
+    def __init__(
+        self,
+        gen: CycleGenerator,
+        gap: float,
+        substeps_per_piece: int,
+        parts: int,
+        rho_a: np.ndarray,
+        actuator: tuple[np.ndarray, np.ndarray] | None,
+    ):
         self.gen = gen
         self.gap = gap
         self.path = _path(gen)
         self._grid = _substep_grid(gen.g, 0.0, 1.0, substeps_per_piece, parts)
         self.substeps = self._grid[2][-1]
-        self._partials = None
-        if self.path.power is not None:
+        self._rho_a = rho_a
+        self._partials = self._kraus = None
+        if self.path is _UNITARY:
+            self._kraus = [_kraus(u, *actuator) for u in _sweep(gen, _UNITARY, gap, self._grid)]
+        elif self.path.power is not None:
             self._partials = _sweep(gen, self.path, gap, self._grid)
 
-    def apply(self, joint: np.ndarray) -> list[np.ndarray]:
-        """Propagate a joint state, returning reduced states at each sample."""
+    def apply(self, rho_s: np.ndarray) -> list[np.ndarray]:
+        """Propagate a system state through one cycle, returning it at each sample."""
+        if self._kraus is not None:
+            return [_kraus_apply(k, rho_s) for k in self._kraus]
+        joint = np.kron(rho_s, self._rho_a)
         if self._partials is None:
             outs = _sweep(self.gen, self.path, self.gap, self._grid, joint)
         else:
@@ -465,24 +556,26 @@ def _build_kernel(
     gen: CycleGenerator,
     gap: float,
     parts: int,
-    joint_probe: np.ndarray,
+    probe: np.ndarray,
+    rho_a: np.ndarray,
+    actuator: tuple[np.ndarray, np.ndarray] | None,
     substeps: int | None,
     tol: float,
     cap: int,
 ) -> tuple[_CycleKernel, list[np.ndarray], float, list[list]]:
-    """Construct a cycle kernel, calibrating substeps on a probe state.
+    """Construct a cycle kernel, calibrating substeps on a probe system state.
 
-    Returns the kernel, its reduced samples of the probe (so the caller
-    does not propagate the probe again), the calibration residual and
-    the ladder as [total substeps, residual] pairs.
+    Returns the kernel, its samples of the probe (so the caller does not
+    propagate the probe again), the calibration residual and the ladder
+    as [total substeps, residual] pairs.
     A fixed ``substeps`` is spread over the sample intervals, rounded up.
     """
     totals = {}
 
     def run(s: int) -> tuple[_CycleKernel, list[np.ndarray]]:
-        kernel = _CycleKernel(gen, gap, s, parts)
+        kernel = _CycleKernel(gen, gap, s, parts, rho_a, actuator)
         totals[s] = kernel.substeps
-        return kernel, kernel.apply(joint_probe)
+        return kernel, kernel.apply(probe)
 
     (kernel, reduced), _, resid, history = _refine_doubling(
         run,
@@ -525,8 +618,10 @@ def evolve_with_resets(
 
     fractions = [(k + 1) / samples_per_cycle for k in range(samples_per_cycle)]
     edges = (0.0,) + schedule.reset_times
+    actuator = _actuator_columns(rho_A.matrix) if _path(gen) is _UNITARY else None
     kernels: dict[float, _CycleKernel] = {}
     kernel_info: dict[float, dict] = {}
+    applies: dict[float, int] = {}
 
     times = [0.0]
     states = [rho_S0]
@@ -536,15 +631,16 @@ def evolve_with_resets(
     for start, stop in zip(edges, edges[1:]):
         gap = stop - start
         key = round(gap, 12)
-        joint = np.kron(rho_s, rho_A.matrix)
         if key in kernels:
-            samples = kernels[key].apply(joint)
+            samples = kernels[key].apply(rho_s)
         else:
             kernel, samples, resid, ladder = _build_kernel(
-                gen, gap, samples_per_cycle, joint, substeps, step_tol, substep_cap
+                gen, gap, samples_per_cycle, rho_s, rho_A.matrix, actuator,
+                substeps, step_tol, substep_cap,
             )
             kernels[key] = kernel
             kernel_info[key] = {"substeps": kernel.substeps, "residual": resid, "ladder": ladder}
+        applies[key] = applies.get(key, 0) + 1
         for frac, reduced in zip(fractions, samples):
             times.append(start + frac * gap)
             states.append(_system_state(gen, reduced, validate_states))
@@ -558,6 +654,8 @@ def evolve_with_resets(
         "samples_per_cycle": samples_per_cycle,
         "path": _path(gen).name,
         "kernels": {str(k): v for k, v in sorted(kernel_info.items())},
+        # cycles served by each kernel: its cache hits plus one
+        "kernel_applies": {str(k): v for k, v in sorted(applies.items())},
     }
     if monitor_top_levels:
         metadata["top_level_max"] = top_level_max

@@ -156,9 +156,17 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > tol_trace:
             raise ValueError(f"trace {tr:.12g} deviates from 1 beyond {tol_trace:.1e}")
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-        if min_eig < -tol_psd:
-            raise ValueError(f"minimum eigenvalue {min_eig:.3e} < -{tol_psd:.1e}")
+        # the Hermitian part plus tol_psd 1 has a Cholesky factor exactly when
+        # its minimum eigenvalue exceeds -tol_psd; eigenvalues are computed
+        # only to report a failure
+        shifted = 0.5 * (m + m.conj().T)
+        shifted.flat[:: m.shape[0] + 1] += tol_psd
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.min(np.linalg.eigvalsh(shifted))) - tol_psd
+            if min_eig < -tol_psd:
+                raise ValueError(f"minimum eigenvalue {min_eig:.3e} < -{tol_psd:.1e}") from None
 
     @classmethod
     def unchecked(cls, op: Operator) -> "DensityMatrix":

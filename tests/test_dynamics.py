@@ -5,13 +5,17 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from resetctrl.analysis import fit_order, gradual_reset_generator, reset_jumps
-from resetctrl.config import qubit_defaults
+from resetctrl.config import default_config, qubit_defaults
 from resetctrl.dynamics import (
     ResetSchedule,
+    _actuator_columns,
     _cf4_couplings,
     _closed_step,
+    _CycleKernel,
+    _kraus,
     _path,
     _substep_grid,
+    _sweep,
     Trajectory,
     cycle_map,
     cycle_propagator,
@@ -20,6 +24,7 @@ from resetctrl.dynamics import (
     intra_cycle_trajectory,
 )
 from resetctrl.generators import (
+    _reduced_super,
     constant,
     effective_hamiltonian,
     from_table,
@@ -52,7 +57,9 @@ from resetctrl.models import (
     number_operator,
     quadrature_x,
 )
-from helpers import QQ, generic_qq, random_closed_qq, random_open_qq, random_pure
+from helpers import (
+    QQ, generic_qq, random_closed_qq, random_density, random_open_qq, random_pure,
+)
 
 
 class TestResetSchedule:
@@ -174,6 +181,83 @@ class TestCycleMap:
         rho_a = DensityMatrix.from_matrix(np.eye(2) / 2)
         with pytest.raises(ValueError, match="joint dimension"):
             cycle_map(gen, rho_a, 0.1)
+
+
+class TestSystemSpaceKraus:
+    """Closed cycles act on the system through Kraus blocks of the joint unitary."""
+
+    GENS = {
+        "qubit": lambda: generic_qq()[0],
+        "oscillator6": lambda: dataclasses.replace(default_config().model, cutoff=6).build()[1],
+    }
+    RHO_AS = {
+        "rank1": lambda: bloch_density((1.0, 0.0, 0.0)),
+        "rank2": lambda: bloch_density((0.6, 0.0, 0.5)),
+        # a valid state with an eigenvalue just below zero keeps its sign
+        "signed": lambda: DensityMatrix.from_matrix(np.diag([1.0 + 5e-9, -5e-9])),
+    }
+
+    @staticmethod
+    def _joint_reference(u, rho_s, rho_a):
+        d_s = rho_s.shape[0]
+        out = u @ np.kron(rho_s, rho_a) @ u.conj().T
+        return partial_trace_matrix(out, (d_s, rho_a.shape[0]), keep=0)
+
+    @pytest.mark.parametrize("gen_name", GENS)
+    @pytest.mark.parametrize("rho_name", RHO_AS)
+    def test_kernel_samples_match_joint_form(self, rng, gen_name, rho_name):
+        gen, rho_a = self.GENS[gen_name](), self.RHO_AS[rho_name]().matrix
+        gap, parts = 0.5, 4
+        kernel = _CycleKernel(gen, gap, 4, parts, rho_a, _actuator_columns(rho_a))
+        rho_s = random_density(rng, gen.space_S.total_dim)
+        partials = _sweep(gen, _path(gen), gap, _substep_grid(gen.g, 0.0, 1.0, 4, parts))
+        samples = kernel.apply(rho_s)
+        assert len(samples) == len(partials) == parts
+        for got, u in zip(samples, partials):
+            assert np.max(np.abs(got - self._joint_reference(u, rho_s, rho_a))) <= 1e-13
+
+    @pytest.mark.parametrize("gen_name", GENS)
+    @pytest.mark.parametrize("rho_name", RHO_AS)
+    def test_cycle_map_matches_reduced_super_loop(self, gen_name, rho_name):
+        gen, rho_a = self.GENS[gen_name](), self.RHO_AS[rho_name]()
+        dt = 0.5
+        u = cycle_unitary(gen, dt, 8)
+        loop = _reduced_super(gen, rho_a, lambda m: u @ m @ u.conj().T)
+        kraus = cycle_map(gen, rho_a, dt, substeps=8).matrix
+        assert np.max(np.abs(kraus - loop)) <= 1e-13
+
+    @pytest.mark.parametrize("gen_name", GENS)
+    @pytest.mark.parametrize("rho_name", ["rank1", "rank2"])
+    def test_blocks_are_complete(self, gen_name, rho_name):
+        gen, rho_a = self.GENS[gen_name](), self.RHO_AS[rho_name]().matrix
+        d_s = gen.space_S.total_dim
+        left, _ = _kraus(cycle_unitary(gen, 0.5, 8), *_actuator_columns(rho_a))
+        blocks = left.reshape(-1, d_s, d_s)
+        total = sum(m.conj().T @ m for m in blocks)
+        assert np.max(np.abs(total - np.eye(d_s))) <= 1e-12
+
+    @pytest.mark.parametrize("gen_name", GENS)
+    def test_pure_actuator_gives_d_a_blocks(self, gen_name):
+        gen = self.GENS[gen_name]()
+        d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
+        u = cycle_unitary(gen, 0.5, 8)
+        for bloch, rank in (((1.0, 0.0, 0.0), 1), ((0.0, 0.6, -0.8), 1), ((0.6, 0.0, 0.5), 2)):
+            left, right = _kraus(u, *_actuator_columns(bloch_density(bloch).matrix))
+            assert left.shape == right.shape == (rank * d_a * d_s, d_s)
+
+    def test_non_unitary_propagator_raises(self):
+        gen, rho_a = generic_qq()
+        u = cycle_unitary(gen, 0.5, 8) * (1.0 + 1e-8)
+        with pytest.raises(ValueError, match="trace preserving"):
+            _kraus(u, *_actuator_columns(rho_a.matrix))
+
+    def test_kernel_applies_count_every_cycle(self, rng):
+        gen, rho_a = generic_qq()
+        rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
+        schedule = ResetSchedule((0.2, 0.4, 0.7, 0.9, 1.2))
+        traj = evolve_with_resets(gen, rho0, rho_a, schedule, samples_per_cycle=2)
+        assert traj.metadata["kernel_applies"] == {"0.2": 3, "0.3": 2}
+        assert traj.metadata["kernel_applies"].keys() == traj.metadata["kernels"].keys()
 
 
 class TestEvolveWithResets:

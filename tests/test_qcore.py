@@ -342,6 +342,22 @@ class TestDensityMatrix:
             DensityMatrix.from_matrix(m)
         DensityMatrix.from_matrix(m, tol_trace=1e-7)
 
+    @pytest.mark.parametrize("d", [2, 30])
+    @pytest.mark.parametrize("tol_psd", [1e-8, 1e-7])
+    def test_positivity_boundary(self, rng, d, tol_psd):
+        # unit trace, Hermitian, smallest eigenvalue on either side of -tol_psd
+        v = random_unitary(rng, d)
+
+        def state(min_eig):
+            p = np.full(d, (1.0 - min_eig) / (d - 1))
+            p[0] = min_eig
+            m = (v * p) @ v.conj().T
+            return 0.5 * (m + m.conj().T)
+
+        with pytest.raises(ValueError, match="minimum eigenvalue"):
+            DensityMatrix.from_matrix(state(-2.0 * tol_psd), tol_psd=tol_psd)
+        DensityMatrix.from_matrix(state(-0.5 * tol_psd), tol_psd=tol_psd)
+
     def test_purity(self, rng):
         psi = random_pure(rng, 3)
         assert DensityMatrix.pure(psi).purity() == pytest.approx(1.0)
