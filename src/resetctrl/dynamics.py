@@ -30,10 +30,14 @@ larger open one steps the joint state with matrix-free exponentials and
 never materializes a superoperator. On the closed path the map one cycle
 induces on the system is stored as system-space Kraus blocks: with
 rho_A = sum_k p_k |a_k><a_k|, M_jk = sqrt(p_k) (1 kron <j|) U (1 kron
-|a_k>), d_S x d_S blocks of the joint unitary (``_kraus``). Trajectory
+|a_k>), d_S x d_S blocks of the joint unitary (``_kraus``). Cycle
 kernels apply them to the system state, and the closed ``cycle_map`` is
 sum conj(M) kron M; neither forms a joint state. Every Kraus set is
 checked once for sum M^dag M = 1. The open paths stay joint.
+
+One state propagator, ``_CycleKernel``, serves both the reset
+trajectories and the intra-cycle samples: a sample a time tau into a
+cycle is a one-sample kernel over the cycle fractions [0, tau / dt].
 
 This module holds the only size rule of the package: ``cycle_map``
 refuses a dense reduced map of an open generator above
@@ -42,10 +46,13 @@ matrix-free exponential is split by a norm bound of the generator,
 never by the state it acts on. One sweep, ``_sweep``, runs the
 substep factors of any path over the grid, and one ladder,
 ``quadrature._refine_doubling``, doubles the substeps until successive
-outputs agree. Kernel and segment metadata record that ladder as
-``[[substeps, residual], ...]``, one entry per level compared with the
-one before, so the ratio of successive residuals shows the empirical
-order (about 2^6 = 64 on the closed path, 2^4 = 16 on the open ones).
+outputs agree, with two criteria: ``cycle_map`` compares the cycle
+propagators by max-abs difference, a kernel its last reduced sample of
+the calibrating state by trace distance. Kernel and segment metadata
+record that ladder as ``[[substeps, residual], ...]``, one entry per
+level compared with the one before, so the ratio of successive
+residuals shows the empirical order (about 2^6 = 64 on the closed path,
+2^4 = 16 on the open ones).
 """
 
 from __future__ import annotations
@@ -302,18 +309,20 @@ class _Path:
     """One representation of the substep factors of a cycle.
 
     ``factor(gen, zeta, dzeta, dt)`` builds the factor of one substep;
-    ``act(f, joint)`` applies a factor, or a product of dense factors, to
-    a joint-space matrix. A dense factor is a square matrix of side
-    d ** ``power`` for joint dimension d; a matrix-free one has no power.
+    on the open paths ``act(f, joint)`` applies a factor, or a product of
+    dense factors, to a joint-space matrix (the closed path acts on
+    system states through Kraus blocks instead). A dense factor is a
+    square matrix of side d ** ``power`` for joint dimension d; a
+    matrix-free one has no power.
     """
 
     name: str
     factor: Callable
-    act: Callable[[object, np.ndarray], np.ndarray]
+    act: Callable[[object, np.ndarray], np.ndarray] | None
     power: int | None
 
 
-_UNITARY = _Path("unitary", _closed_step, lambda u, m: u @ m @ u.conj().T, 1)
+_UNITARY = _Path("unitary", _closed_step, None, 1)
 _SUPEROP = _Path("superop", _open_step_super, lambda p, m: unvec(p @ vec(m), m.shape[0]), 2)
 _MATVEC = _Path("matvec", _open_step_matvec, lambda f, m: f(m), None)
 
@@ -359,9 +368,8 @@ def _reduce(gen: CycleGenerator, joint: np.ndarray) -> np.ndarray:
     return partial_trace_matrix(joint, (gen.space_S.total_dim, gen.space_A.total_dim), keep=0)
 
 
-def _system_state(gen: CycleGenerator, m: np.ndarray, validate: bool) -> DensityMatrix:
-    op = Operator(m, gen.space_S)
-    return DensityMatrix(op, **_STATE_TOLS) if validate else DensityMatrix.unchecked(op)
+def _system_state(gen: CycleGenerator, m: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(Operator(m, gen.space_S), **_STATE_TOLS)
 
 
 def _actuator_columns(rho_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -510,9 +518,10 @@ def cycle_map(
 class _CycleKernel:
     """Reusable propagator for one gap length, with intra-cycle samples.
 
-    The cycle is split into ``parts`` equal sample intervals, each
-    propagated with ``substeps_per_piece`` substeps per piece of the
-    breakpoint-aligned grid; ``substeps`` is the total. The closed path
+    The cycle fractions [0, ``end``] are split into ``parts`` equal
+    sample intervals, each propagated with ``substeps_per_piece``
+    substeps per piece of the breakpoint-aligned grid; ``substeps`` is
+    the total. The closed path
     stores the Kraus blocks of the partial products up to each sample
     (``actuator`` is ``_actuator_columns(rho_a)``), the dense open path
     the partial products themselves; the matrix-free path steps every
@@ -527,11 +536,12 @@ class _CycleKernel:
         parts: int,
         rho_a: np.ndarray,
         actuator: tuple[np.ndarray, np.ndarray] | None,
+        end: float = 1.0,
     ):
         self.gen = gen
         self.gap = gap
         self.path = _path(gen)
-        self._grid = _substep_grid(gen.g, 0.0, 1.0, substeps_per_piece, parts)
+        self._grid = _substep_grid(gen.g, 0.0, end, substeps_per_piece, parts)
         self.substeps = self._grid[2][-1]
         self._rho_a = rho_a
         self._partials = self._kraus = None
@@ -558,10 +568,10 @@ def _build_kernel(
     parts: int,
     probe: np.ndarray,
     rho_a: np.ndarray,
-    actuator: tuple[np.ndarray, np.ndarray] | None,
     substeps: int | None,
     tol: float,
     cap: int,
+    end: float = 1.0,
 ) -> tuple[_CycleKernel, list[np.ndarray], float, list[list]]:
     """Construct a cycle kernel, calibrating substeps on a probe system state.
 
@@ -570,10 +580,11 @@ def _build_kernel(
     as [total substeps, residual] pairs.
     A fixed ``substeps`` is spread over the sample intervals, rounded up.
     """
+    actuator = _actuator_columns(rho_a) if _path(gen) is _UNITARY else None
     totals = {}
 
     def run(s: int) -> tuple[_CycleKernel, list[np.ndarray]]:
-        kernel = _CycleKernel(gen, gap, s, parts, rho_a, actuator)
+        kernel = _CycleKernel(gen, gap, s, parts, rho_a, actuator, end)
         totals[s] = kernel.substeps
         return kernel, kernel.apply(probe)
 
@@ -599,7 +610,6 @@ def evolve_with_resets(
     substep_cap: int = DEFAULT_SUBSTEP_CAP,
     samples_per_cycle: int = 1,
     monitor_top_levels: int | None = None,
-    validate_states: bool = True,
 ) -> Trajectory:
     """Propagate through the schedule, resetting the actuator at each time.
 
@@ -618,7 +628,6 @@ def evolve_with_resets(
 
     fractions = [(k + 1) / samples_per_cycle for k in range(samples_per_cycle)]
     edges = (0.0,) + schedule.reset_times
-    actuator = _actuator_columns(rho_A.matrix) if _path(gen) is _UNITARY else None
     kernels: dict[float, _CycleKernel] = {}
     kernel_info: dict[float, dict] = {}
     applies: dict[float, int] = {}
@@ -635,7 +644,7 @@ def evolve_with_resets(
             samples = kernels[key].apply(rho_s)
         else:
             kernel, samples, resid, ladder = _build_kernel(
-                gen, gap, samples_per_cycle, rho_s, rho_A.matrix, actuator,
+                gen, gap, samples_per_cycle, rho_s, rho_A.matrix,
                 substeps, step_tol, substep_cap,
             )
             kernels[key] = kernel
@@ -643,7 +652,7 @@ def evolve_with_resets(
         applies[key] = applies.get(key, 0) + 1
         for frac, reduced in zip(fractions, samples):
             times.append(start + frac * gap)
-            states.append(_system_state(gen, reduced, validate_states))
+            states.append(_system_state(gen, reduced))
             if monitor_top_levels:
                 pops = np.real(np.diag(reduced))
                 top_level_max = max(top_level_max, float(np.sum(pops[-monitor_top_levels:])))
@@ -672,13 +681,14 @@ def intra_cycle_trajectory(
     *,
     step_tol: float = DEFAULT_STEP_TOL,
     substep_cap: int = DEFAULT_SUBSTEP_CAP,
-    validate_states: bool = True,
 ) -> Trajectory:
     """Reduced system states at requested times inside a single cycle.
 
-    The joint state starts as ``rho_S kron rho_A`` and is propagated
-    exactly (to substep convergence) with the switching function argument
-    referred to the full cycle length ``dt``.
+    Each sample tau > 0 starts from ``rho_S kron rho_A`` at the start of
+    the cycle and is a one-sample cycle kernel over the cycle fractions
+    [0, tau / dt], with the switching function argument referred to the
+    full cycle length ``dt``, refined on the sampled state. Its
+    ``segments`` entry spans [0, tau].
     """
     pts = sorted(float(p) for p in sample_points)
     if not pts:
@@ -686,45 +696,16 @@ def intra_cycle_trajectory(
     if pts[0] < 0.0 or pts[-1] > dt * (1 + 1e-12):
         raise ValueError(f"sample points must lie in [0, {dt}]")
 
-    joint = np.kron(rho_S.matrix, rho_A.matrix)
-    times, states, seg_info = [], [], []
-    prev = 0.0
+    states, seg_info = [], []
     for tau in pts:
-        if tau > prev:
-            joint, substeps, resid, ladder = _propagate_segment(
-                gen, joint, dt, prev, tau, step_tol, substep_cap
+        reduced = rho_S.matrix
+        if tau > 0.0:
+            kernel, (reduced,), resid, ladder = _build_kernel(
+                gen, dt, 1, rho_S.matrix, rho_A.matrix, None, step_tol, substep_cap, tau / dt
             )
-            seg_info.append({"to": tau, "substeps": substeps, "residual": resid, "ladder": ladder})
-            prev = tau
-        times.append(tau)
-        states.append(_system_state(gen, _reduce(gen, joint), validate_states))
+            seg_info.append(
+                {"to": tau, "substeps": kernel.substeps, "residual": resid, "ladder": ladder}
+            )
+        states.append(_system_state(gen, reduced))
 
-    return Trajectory(np.array(times), states, {"segments": seg_info, "cycle_dt": dt})
-
-
-def _propagate_segment(
-    gen: CycleGenerator,
-    joint: np.ndarray,
-    dt: float,
-    a: float,
-    b: float,
-    tol: float,
-    cap: int,
-) -> tuple[np.ndarray, int, float, list[list]]:
-    """Evolve a joint state from cycle time a to b (0 <= a < b <= dt).
-
-    Returns the state, the total substep count, the residual and the
-    ladder as [total substeps, residual] pairs.
-    """
-    path = _path(gen)
-    totals = {}
-
-    def run(s: int) -> np.ndarray:
-        grid = _substep_grid(gen.g, a / dt, b / dt, s)
-        totals[s] = grid[2][-1]
-        return _sweep(gen, path, dt, grid, joint)[-1]
-
-    out, s, resid, history = _refine_doubling(
-        run, trace_distance, start=1, tol=tol, cap=cap, what="intra-cycle segment"
-    )
-    return out, totals[s], resid, [[totals[k], r] for k, r in history]
+    return Trajectory(np.array(pts), states, {"segments": seg_info, "cycle_dt": dt})

@@ -29,6 +29,8 @@ from resetctrl.qcore import (
     SuperOperator,
     dissipator_super,
     trace_norm,
+    unvec,
+    vec,
 )
 from resetctrl.models import SIGMA_X, SIGMA_Y, SIGMA_Z
 from helpers import (
@@ -92,6 +94,16 @@ class TestInducedNorm:
         b = default_probes(2)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_batched_norm_matches_per_probe_loop(self, rng, dim):
+        probes = default_probes(dim)
+        for _ in range(3):
+            matrix = rng.normal(size=(dim * dim,) * 2) + 1j * rng.normal(size=(dim * dim,) * 2)
+            loop = max(trace_norm(unvec(matrix @ vec(p), dim)) for p in probes)
+            batched = induced_trace_norm(matrix, dim, probes)
+            assert batched == pytest.approx(loop, rel=1e-13, abs=0.0)
+            assert induced_trace_norm(matrix, dim) == batched
 
 
 class TestChernoff:

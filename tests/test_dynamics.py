@@ -553,6 +553,32 @@ class TestClosedAgainstExactSolutions:
         traj = intra_cycle_trajectory(gen, rho0, rho_a, dt, [dt / 3], step_tol=1e-10)
         assert trace_distance(traj.states[-1].matrix, exact) <= 1e-9
 
+    def test_intra_cycle_samples_across_breakpoints(self, rng):
+        # the pulse is on over [0.1, 0.6] of the cycle: the samples lie
+        # before it, inside it and after it, so each sample's grid must
+        # cut at the breakpoints below it and ignore those above
+        gen, _ = random_closed_qq(rng)
+        gen = dataclasses.replace(gen, g=square_pulse(1.2, 0.1, 0.6))
+        rho_a = bloch_density((0.6, 0.0, 0.5))
+        rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
+        dt = 0.7
+        free, coupled = gen.h_free_full, gen.h_free_full + 1.2 * gen.h_SA.matrix
+
+        def exact(frac):
+            on = min(max(frac - 0.1, 0.0), 0.5)
+            off_after = max(frac - 0.6, 0.0)
+            u = (
+                expm_hermitian(free, -1j * dt * off_after)
+                @ expm_hermitian(coupled, -1j * dt * on)
+                @ expm_hermitian(free, -1j * dt * min(frac, 0.1))
+            )
+            return self._reduce(u, rho0.matrix, rho_a.matrix)
+
+        fracs = (0.05, 0.35, 1.0)
+        traj = intra_cycle_trajectory(gen, rho0, rho_a, dt, [f * dt for f in fracs])
+        for frac, state in zip(fracs, traj.states):
+            assert np.max(np.abs(state.matrix - exact(frac))) <= 1e-12
+
 
 class TestLargeDimMatvecPath:
     def test_matches_dense_product_at_fixed_substeps(self):
