@@ -8,16 +8,14 @@ alternative output root as the first argument.
 import sys
 from pathlib import Path
 
-from resetctrl.config import default_config, qubit_defaults
-from resetctrl.experiments import EXPERIMENT_KINDS, QUBIT_DEFAULT_KINDS, run_experiment
+from resetctrl.experiments import KINDS, default_config_for, run_experiment
 
 
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
-    for kind in EXPERIMENT_KINDS:
-        cfg = qubit_defaults() if kind in QUBIT_DEFAULT_KINDS else default_config()
+    for kind in KINDS:
         print(f"== {kind} -> {root / kind}")
-        code = run_experiment(cfg, kind, root / kind, quiet=False)
+        code = run_experiment(default_config_for(kind), kind, root / kind, quiet=False)
         if code != 0:
             return code
     return 0

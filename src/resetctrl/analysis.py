@@ -467,6 +467,8 @@ def gradual_reset_deviation(
     rho_S0: DensityMatrix,
     kappa: float,
     t: float,
+    *,
+    step_tol: float = 1e-9,
 ) -> float:
     """Trace distance from the effective trajectory under damped resets.
 
@@ -475,7 +477,8 @@ def gradual_reset_deviation(
     settles at two substeps, on whichever path ``dynamics`` picks.
     """
     damped = gradual_reset_generator(gen, rho_A, kappa)
-    reduced = intra_cycle_trajectory(damped, rho_S0, rho_A, t, [t]).states[-1].matrix
+    traj = intra_cycle_trajectory(damped, rho_S0, rho_A, t, [t], step_tol=step_tol)
+    reduced = traj.states[-1].matrix
     h_eff = effective_hamiltonian(gen, rho_A).matrix
     u = expm_hermitian(h_eff, -1j * t)
     return trace_distance(reduced, u @ rho_S0.matrix @ u.conj().T)
@@ -487,5 +490,9 @@ def gradual_reset_scan(
     rho_S0: DensityMatrix,
     kappas,
     t: float,
+    *,
+    step_tol: float = 1e-9,
 ) -> tuple[float, ...]:
-    return tuple(gradual_reset_deviation(gen, rho_A, rho_S0, k, t) for k in kappas)
+    return tuple(
+        gradual_reset_deviation(gen, rho_A, rho_S0, k, t, step_tol=step_tol) for k in kappas
+    )

@@ -11,22 +11,9 @@ import argparse
 import dataclasses
 import sys
 
-from .config import ConfigError, default_config, load_config, qubit_defaults
-from .experiments import (
-    EXPERIMENT_KINDS, QUBIT_DEFAULT_KINDS, InvariantViolationError, run_experiment,
-)
+from .config import ConfigError, load_config
+from .experiments import KINDS, InvariantViolationError, default_config_for, run_experiment
 from .qcore import ConvergenceError
-
-_KIND_HELP = {
-    "effective": "print and save the effective Hamiltonian for a config",
-    "simulate": "trajectory CSV for the first configured reset rate",
-    "fig1": "fidelity-vs-time curves for each configured reset rate",
-    "chernoff": "deviation of the n-cycle product from the effective exponential",
-    "dissipative": "deviation-vs-time slopes against the reset rate",
-    "strobe": "mid-cycle deviation, its first-order prediction, and bound",
-    "gradual": "deviation under damped (non-instantaneous) actuator resets",
-    "lie": "dimension of the Lie algebra generated by a set of Hamiltonians",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,20 +33,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate indirect quantum control through a periodically reset actuator",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
-        sub.add_parser(kind, parents=[common], help=_KIND_HELP[kind])
+    for kind, spec in KINDS.items():
+        sub.add_parser(kind, parents=[common], help=spec.help)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = load_config(args.config)
-        elif args.kind in QUBIT_DEFAULT_KINDS:
-            cfg = qubit_defaults()
-        else:
-            cfg = default_config()
+        cfg = load_config(args.config) if args.config else default_config_for(args.kind)
         if args.cutoff is not None:
             cfg = dataclasses.replace(
                 cfg, model=dataclasses.replace(cfg.model, cutoff=args.cutoff)

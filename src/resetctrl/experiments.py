@@ -1,16 +1,21 @@
-"""Experiment runners with deterministic CSV and metadata emission.
+"""Experiment kinds: one table of runners, one writer.
 
-Each experiment kind writes ``<kind>.csv`` plus a ``<kind>.meta.json``
+Each kind is one row of ``KINDS``: a runner that only computes, its CLI
+help line, and whether it defaults to the qubit-qubit reduction.
+``run_experiment`` writes ``<kind>.csv`` plus a ``<kind>.meta.json``
 sidecar holding the config hash, tool version, and convergence
-diagnostics. Identical configs produce byte-identical files: no wall
-clock, no unseeded randomness.
+diagnostics, prints the runner's summary unless quiet, and raises on a
+tripped invariant. Identical configs produce byte-identical files: no
+wall clock, no unseeded randomness.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,61 +32,34 @@ from .analysis import (
     stroboscopic_deviation,
     braced_switching_term,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, default_config, qubit_defaults
 from .dynamics import ResetSchedule, evolve_with_resets
 from .generators import effective_hamiltonian
 from .models import SIGMA_X, SIGMA_Y, SIGMA_Z, number_operator, quadrature_p, quadrature_x
 from .qcore import fidelity_pure, trace_norm
-
-EXPERIMENT_KINDS = (
-    "effective",
-    "simulate",
-    "fig1",
-    "chernoff",
-    "dissipative",
-    "strobe",
-    "gradual",
-    "lie",
-)
-# analysis kinds default to the small qubit-qubit reduction
-QUBIT_DEFAULT_KINDS = frozenset({"chernoff", "dissipative", "strobe", "gradual", "lie"})
 
 
 class InvariantViolationError(RuntimeError):
     """A run-level invariant (e.g. the Fock-cutoff population flag) tripped."""
 
 
+@dataclass(frozen=True)
+class _Result:
+    """What a runner computed; ``run_experiment`` writes, prints and raises."""
+
+    header: tuple
+    rows: list
+    meta: dict
+    summary: Callable[[], str] | None = None  # formatted only when printed
+    violation: str | None = None  # message of a tripped run-level invariant
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-
-
-def _write_metadata(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
-
-
-def _base_metadata(cfg: ExperimentConfig, kind: str, gen) -> dict:
-    return {
-        "kind": kind,
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
-        "warnings": gen.validity_report(),
-    }
 
 
 def _effective_evolver(h_eff: np.ndarray):
@@ -103,28 +81,43 @@ def _require_grid(values, minimum: int, field: str):
         raise ConfigError(f"{field}: need at least {minimum} distinct positive entries")
 
 
+def _states(cfg, model):
+    """The reset state rho_A, then the initial system state as (psi0 or None, rho0)."""
+    return (cfg.states.build_rho_a(), *cfg.states.build_initial(model.cutoff))
+
+
+def _reset_trajectory(cfg, gen, rho0, rho_a, f):
+    """Evolve-and-reset at rate f, snapped to whole cycles: (cycles, time, trajectory)."""
+    n, t_snap = cfg.schedule.snapped_cycles(f)
+    traj = evolve_with_resets(
+        gen,
+        rho0,
+        rho_a,
+        ResetSchedule.uniform(n, t_snap),
+        step_tol=cfg.tolerances.step_tol,
+        samples_per_cycle=cfg.schedule.samples_per_cycle,
+        monitor_top_levels=2 if cfg.model.kind == "oscillator_qubit" else None,
+    )
+    return n, t_snap, traj
+
+
 # ---------------------------------------------------------------------------
 # individual experiment kinds
 
 
-def _run_effective(cfg, out_dir, quiet):
-    _, gen = cfg.model.build()
-    rho_a = cfg.states.build_rho_a()
-    h_eff = effective_hamiltonian(gen, rho_a).matrix
+def _run_effective(cfg, model, gen):
+    h_eff = effective_hamiltonian(gen, cfg.states.build_rho_a()).matrix
     rows = [
         (i, j, h_eff[i, j].real, h_eff[i, j].imag)
         for i in range(h_eff.shape[0])
         for j in range(h_eff.shape[1])
     ]
-    _write_csv(out_dir / "effective.csv", ("row", "col", "real", "imag"), rows)
-    meta = _base_metadata(cfg, "effective", gen)
-    meta["dimension"] = h_eff.shape[0]
-    _write_metadata(out_dir / "effective.meta.json", meta)
-    if not quiet:
+
+    def summary():
         with np.printoptions(precision=6, suppress=True, linewidth=120):
-            print("effective Hamiltonian:")
-            print(h_eff)
-    return 0
+            return f"effective Hamiltonian:\n{h_eff}"
+
+    return _Result(("row", "col", "real", "imag"), rows, {"dimension": h_eff.shape[0]}, summary)
 
 
 def _oscillator_observables(cutoff: int):
@@ -138,26 +131,13 @@ def _oscillator_observables(cutoff: int):
 _QUBIT_OBSERVABLES = (("sx", SIGMA_X), ("sy", SIGMA_Y), ("sz", SIGMA_Z))
 
 
-def _run_simulate(cfg, out_dir, quiet):
-    model, gen = cfg.model.build()
-    rho_a = cfg.states.build_rho_a()
-    psi0, rho0 = cfg.states.build_initial(model.cutoff)
+def _run_simulate(cfg, model, gen):
+    rho_a, psi0, rho0 = _states(cfg, model)
     f = cfg.schedule.f_list[0]
-    n, t_snap = cfg.schedule.snapped_cycles(f)
-    schedule = ResetSchedule.uniform(n, t_snap)
-    is_oscillator = cfg.model.kind == "oscillator_qubit"
-    traj = evolve_with_resets(
-        gen,
-        rho0,
-        rho_a,
-        schedule,
-        step_tol=cfg.tolerances.step_tol,
-        samples_per_cycle=cfg.schedule.samples_per_cycle,
-        monitor_top_levels=2 if is_oscillator else None,
-    )
-    observables = (
-        _oscillator_observables(model.cutoff) if is_oscillator else _QUBIT_OBSERVABLES
-    )
+    n, t_snap, traj = _reset_trajectory(cfg, gen, rho0, rho_a, f)
+    observables = _QUBIT_OBSERVABLES
+    if cfg.model.kind == "oscillator_qubit":
+        observables = _oscillator_observables(model.cutoff)
     evolve_eff = None
     if psi0 is not None:
         evolve_eff = _effective_evolver(effective_hamiltonian(gen, rho_a).matrix)
@@ -172,44 +152,23 @@ def _run_simulate(cfg, out_dir, quiet):
             float(np.real(np.trace(obs @ state.matrix))) for _, obs in observables
         ]
         rows.append((t, fid, state.purity(), *expectations))
-    _write_csv(out_dir / "simulate.csv", header, rows)
-
-    meta = _base_metadata(cfg, "simulate", gen)
-    meta["f"] = f
-    meta["cycles"] = n
-    meta["snapped_time"] = t_snap
-    meta["trajectory"] = traj.metadata
-    _write_metadata(out_dir / "simulate.meta.json", meta)
+    meta = {"f": f, "cycles": n, "snapped_time": t_snap, "trajectory": traj.metadata}
+    violation = None
     if traj.metadata.get("cutoff_flag"):
-        raise InvariantViolationError(
-            f"top-two-level population {traj.metadata['top_level_max']:.3e} exceeds limit"
-        )
-    return 0
+        violation = f"top-two-level population {traj.metadata['top_level_max']:.3e} exceeds limit"
+    return _Result(header, rows, meta, violation=violation)
 
 
-def _run_fig1(cfg, out_dir, quiet):
-    model, gen = cfg.model.build()
-    rho_a = cfg.states.build_rho_a()
-    psi0, rho0 = cfg.states.build_initial(model.cutoff)
+def _run_fig1(cfg, model, gen):
+    rho_a, psi0, rho0 = _states(cfg, model)
     _require_pure(psi0, "fig1")
     evolve_eff = _effective_evolver(effective_hamiltonian(gen, rho_a).matrix)
-    is_oscillator = cfg.model.kind == "oscillator_qubit"
 
     rows = []
     per_f_meta = {}
-    flagged = False
+    progress = []
     for f in cfg.schedule.f_list:
-        n, t_snap = cfg.schedule.snapped_cycles(f)
-        schedule = ResetSchedule.uniform(n, t_snap)
-        traj = evolve_with_resets(
-            gen,
-            rho0,
-            rho_a,
-            schedule,
-            step_tol=cfg.tolerances.step_tol,
-            samples_per_cycle=cfg.schedule.samples_per_cycle,
-            monitor_top_levels=2 if is_oscillator else None,
-        )
+        n, t_snap, traj = _reset_trajectory(cfg, gen, rho0, rho_a, f)
         for t, state in zip(traj.times, traj.states):
             rows.append((t, f, fidelity_pure(state, evolve_eff(t, psi0))))
         per_f_meta[str(f)] = {
@@ -218,21 +177,20 @@ def _run_fig1(cfg, out_dir, quiet):
             "requested_time": cfg.schedule.total_time,
             **traj.metadata,
         }
-        flagged = flagged or bool(traj.metadata.get("cutoff_flag"))
-        if not quiet:
-            print(f"fig1: f={f} done ({n} cycles)")
+        progress.append((f, n))
+    violation = None
+    if any(m.get("cutoff_flag") for m in per_f_meta.values()):
+        violation = "Fock-cutoff population flag tripped; raise the cutoff"
+    return _Result(
+        ("t", "f", "fidelity"),
+        rows,
+        {"per_f": per_f_meta},
+        lambda: "\n".join(f"fig1: f={f} done ({n} cycles)" for f, n in progress),
+        violation,
+    )
 
-    _write_csv(out_dir / "fig1.csv", ("t", "f", "fidelity"), rows)
-    meta = _base_metadata(cfg, "fig1", gen)
-    meta["per_f"] = per_f_meta
-    _write_metadata(out_dir / "fig1.meta.json", meta)
-    if flagged:
-        raise InvariantViolationError("Fock-cutoff population flag tripped; raise the cutoff")
-    return 0
 
-
-def _run_chernoff(cfg, out_dir, quiet):
-    _, gen = cfg.model.build()
+def _run_chernoff(cfg, model, gen):
     rho_a = cfg.states.build_rho_a()
     ns = sorted(cfg.experiment.chernoff_ns)
     t = cfg.experiment.chernoff_time
@@ -247,24 +205,21 @@ def _run_chernoff(cfg, out_dir, quiet):
     report = fit_order(ns, devs)
     rows = [(n, dev) for n, dev in zip(ns, devs)]
     rows.append(("fitted_order", report.fitted_order))
-    _write_csv(out_dir / "chernoff.csv", ("n", "deviation"), rows)
-    meta = _base_metadata(cfg, "chernoff", gen)
-    meta["time"] = t
-    meta["map_tol"] = cfg.tolerances.map_tol
-    meta["probe_count"] = len(probes)
-    meta["fitted_order"] = report.fitted_order
-    meta["r_squared"] = report.r_squared
-    meta["exact"] = report.exact
-    _write_metadata(out_dir / "chernoff.meta.json", meta)
-    if not quiet:
-        print(f"chernoff: fitted order {report.fitted_order}")
-    return 0
+    meta = {
+        "time": t,
+        "map_tol": cfg.tolerances.map_tol,
+        "probe_count": len(probes),
+        "fitted_order": report.fitted_order,
+        "r_squared": report.r_squared,
+        "exact": report.exact,
+    }
+    return _Result(
+        ("n", "deviation"), rows, meta, lambda: f"chernoff: fitted order {report.fitted_order}"
+    )
 
 
-def _run_dissipative(cfg, out_dir, quiet):
-    model, gen = cfg.model.build()
-    rho_a = cfg.states.build_rho_a()
-    psi0, _ = cfg.states.build_initial(model.cutoff)
+def _run_dissipative(cfg, model, gen):
+    rho_a, psi0, _ = _states(cfg, model)
     _require_pure(psi0, "dissipative")
     _require_grid(cfg.schedule.f_list, 3, "schedule.f_list")
     _require_grid(cfg.experiment.dissipative_times, 2, "experiment.dissipative_times")
@@ -281,25 +236,23 @@ def _run_dissipative(cfg, out_dir, quiet):
         for scan in result.scans
         for t, dev in zip(scan.times, scan.deviations)
     ]
-    _write_csv(out_dir / "dissipative.csv", ("f", "t", "deviation"), rows)
-    meta = _base_metadata(cfg, "dissipative", gen)
-    meta["per_f"] = {
-        str(scan.f): {"slope": scan.fit.slope, "r_squared": scan.fit.r_squared}
-        for scan in result.scans
+    order = result.freq_report.fitted_order
+    meta = {
+        "per_f": {
+            str(scan.f): {"slope": scan.fit.slope, "r_squared": scan.fit.r_squared}
+            for scan in result.scans
+        },
+        "slope_order": order,
+        "slope_order_r_squared": result.freq_report.r_squared,
+        "exact": result.freq_report.exact,
     }
-    meta["slope_order"] = result.freq_report.fitted_order
-    meta["slope_order_r_squared"] = result.freq_report.r_squared
-    meta["exact"] = result.freq_report.exact
-    _write_metadata(out_dir / "dissipative.meta.json", meta)
-    if not quiet:
-        print(f"dissipative: slope-vs-f order {result.freq_report.fitted_order}")
-    return 0
+    return _Result(
+        ("f", "t", "deviation"), rows, meta, lambda: f"dissipative: slope-vs-f order {order}"
+    )
 
 
-def _run_strobe(cfg, out_dir, quiet):
-    model, gen = cfg.model.build()
-    rho_a = cfg.states.build_rho_a()
-    _, rho0 = cfg.states.build_initial(model.cutoff)
+def _run_strobe(cfg, model, gen):
+    rho_a, _, rho0 = _states(cfg, model)
     _require_grid(cfg.experiment.strobe_dts, 1, "experiment.strobe_dts")
     fracs = cfg.experiment.strobe_tau_fractions
     if not fracs or any(not 0.0 < f <= 1.0 for f in fracs):
@@ -312,7 +265,9 @@ def _run_strobe(cfg, out_dir, quiet):
             bound = 2.0 * gen.g.g_max * (dt - tau) / tau
             ok = stroboscopic_bound_check(gen.g, tau, dt)
             predicted = stroboscopic_deviation(gen, rho_a, rho0, tau, dt).matrix
-            measured = measured_stroboscopic_deviation(gen, rho_a, rho0, tau, dt).matrix
+            measured = measured_stroboscopic_deviation(
+                gen, rho_a, rho0, tau, dt, step_tol=cfg.tolerances.step_tol
+            ).matrix
             rows.append(
                 (
                     dt,
@@ -335,30 +290,24 @@ def _run_strobe(cfg, out_dir, quiet):
         "measured",
         "residual",
     )
-    _write_csv(out_dir / "strobe.csv", header, rows)
-    meta = _base_metadata(cfg, "strobe", gen)
-    meta["all_bounds_hold"] = all(bool(r[4]) for r in rows)
-    _write_metadata(out_dir / "strobe.meta.json", meta)
-    return 0
+    return _Result(header, rows, {"all_bounds_hold": all(bool(r[4]) for r in rows)})
 
 
-def _run_gradual(cfg, out_dir, quiet):
-    model, gen = cfg.model.build()
-    rho_a = cfg.states.build_rho_a()
-    _, rho0 = cfg.states.build_initial(model.cutoff)
+def _run_gradual(cfg, model, gen):
+    rho_a, _, rho0 = _states(cfg, model)
     kappas = cfg.experiment.gradual_kappas
     _require_grid(kappas, 2, "experiment.gradual_kappas")
-    if cfg.experiment.gradual_time <= 0:
+    t = cfg.experiment.gradual_time
+    if t <= 0:
         raise ConfigError("experiment.gradual_time: must be positive")
-    devs = gradual_reset_scan(gen, rho_a, rho0, kappas, cfg.experiment.gradual_time)
-    _write_csv(out_dir / "gradual.csv", ("kappa", "deviation"), list(zip(kappas, devs)))
-    meta = _base_metadata(cfg, "gradual", gen)
-    meta["time"] = cfg.experiment.gradual_time
-    meta["monotone_decreasing"] = all(b <= a for a, b in zip(devs, devs[1:]))
-    _write_metadata(out_dir / "gradual.meta.json", meta)
-    if not quiet:
-        print(f"gradual: deviations {[float(f'{d:.3e}') for d in devs]}")
-    return 0
+    devs = gradual_reset_scan(gen, rho_a, rho0, kappas, t, step_tol=cfg.tolerances.step_tol)
+    meta = {"time": t, "monotone_decreasing": all(b <= a for a, b in zip(devs, devs[1:]))}
+    return _Result(
+        ("kappa", "deviation"),
+        list(zip(kappas, devs)),
+        meta,
+        lambda: f"gradual: deviations {[float(f'{d:.3e}') for d in devs]}",
+    )
 
 
 _NAMED_GENERATORS = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
@@ -380,37 +329,79 @@ def _parse_generator(name: str) -> np.ndarray:
     return total
 
 
-def _run_lie(cfg, out_dir, quiet):
-    _, gen = cfg.model.build()
+def _run_lie(cfg, model, gen):
     names = cfg.experiment.lie_generators
-    mats = [_parse_generator(name) for name in names]
-    dim = lie_algebra_dimension(mats)
-    _write_csv(out_dir / "lie.csv", ("generators", "dimension"), [("|".join(names), dim)])
-    meta = _base_metadata(cfg, "lie", gen)
-    meta["generators"] = list(names)
-    meta["dimension"] = dim
-    _write_metadata(out_dir / "lie.meta.json", meta)
-    if not quiet:
-        print(f"lie: algebra dimension {dim}")
-    return 0
+    dim = lie_algebra_dimension([_parse_generator(name) for name in names])
+    return _Result(
+        ("generators", "dimension"),
+        [("|".join(names), dim)],
+        {"generators": list(names), "dimension": dim},
+        lambda: f"lie: algebra dimension {dim}",
+    )
 
 
-_RUNNERS = {
-    "effective": _run_effective,
-    "simulate": _run_simulate,
-    "fig1": _run_fig1,
-    "chernoff": _run_chernoff,
-    "dissipative": _run_dissipative,
-    "strobe": _run_strobe,
-    "gradual": _run_gradual,
-    "lie": _run_lie,
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind: its runner, its CLI help line, its default model."""
+
+    run: Callable[..., _Result]
+    help: str
+    qubit_default: bool = False  # analysis kinds default to the qubit-qubit reduction
+
+
+KINDS = {
+    "effective": Kind(_run_effective, "print and save the effective Hamiltonian for a config"),
+    "simulate": Kind(_run_simulate, "trajectory CSV for the first configured reset rate"),
+    "fig1": Kind(_run_fig1, "fidelity-vs-time curves for each configured reset rate"),
+    "chernoff": Kind(
+        _run_chernoff, "deviation of the n-cycle product from the effective exponential", True
+    ),
+    "dissipative": Kind(
+        _run_dissipative, "deviation-vs-time slopes against the reset rate", True
+    ),
+    "strobe": Kind(_run_strobe, "mid-cycle deviation, its first-order prediction, and bound", True),
+    "gradual": Kind(
+        _run_gradual, "deviation under damped (non-instantaneous) actuator resets", True
+    ),
+    "lie": Kind(
+        _run_lie, "dimension of the Lie algebra generated by a set of Hamiltonians", True
+    ),
 }
 
 
+def default_config_for(kind: str) -> ExperimentConfig:
+    """The config a kind runs without ``--config``."""
+    return qubit_defaults() if KINDS[kind].qubit_default else default_config()
+
+
 def run_experiment(cfg: ExperimentConfig, kind: str, out_dir, quiet: bool = False) -> int:
-    """Run one experiment kind, writing CSV and metadata into out_dir."""
-    if kind not in _RUNNERS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
+    """Run one experiment kind, writing CSV and metadata into out_dir.
+
+    Prints the kind's summary unless quiet; raises
+    ``InvariantViolationError`` after writing if the run tripped one.
+    """
+    if kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; choose from {tuple(KINDS)}")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[kind](cfg, out_path, quiet)
+    model, gen = cfg.model.build()
+    result = KINDS[kind].run(cfg, model, gen)
+    with open(out_path / f"{kind}.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(result.header)
+        writer.writerows([_fmt(x) for x in row] for row in result.rows)
+    meta = {
+        "kind": kind,
+        "config_hash": cfg.config_hash(),
+        "version": __version__,
+        "warnings": gen.validity_report(),
+        **result.meta,
+    }
+    with open(out_path / f"{kind}.meta.json", "w", encoding="utf-8") as handle:
+        json.dump(meta, handle, indent=2, sort_keys=True, default=str)
+        handle.write("\n")
+    if not quiet and result.summary is not None:
+        print(result.summary())
+    if result.violation is not None:
+        raise InvariantViolationError(result.violation)
+    return 0

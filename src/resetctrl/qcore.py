@@ -136,8 +136,8 @@ class DensityMatrix:
     """Validated quantum state.
 
     The constructor checks hermiticity, unit trace and positivity; pass
-    ``validate=False`` (or use :meth:`unchecked`) on internal hot paths
-    where the state is valid by construction.
+    ``validate=False`` on internal hot paths where the state is valid by
+    construction.
     """
 
     op: Operator
@@ -167,10 +167,6 @@ class DensityMatrix:
             min_eig = float(np.min(np.linalg.eigvalsh(shifted))) - tol_psd
             if min_eig < -tol_psd:
                 raise ValueError(f"minimum eigenvalue {min_eig:.3e} < -{tol_psd:.1e}") from None
-
-    @classmethod
-    def unchecked(cls, op: Operator) -> "DensityMatrix":
-        return cls(op, validate=False)
 
     @classmethod
     def from_matrix(cls, matrix, dims: Sequence[int] | None = None, **tols) -> "DensityMatrix":

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from resetctrl import analysis
 from resetctrl.cli import main
 from resetctrl.config import (
     ConfigError,
@@ -356,3 +357,77 @@ class TestCli:
         times_f4 = [float(r[0]) for r in rows if r[1] == "4.0"]
         assert times_f4 == sorted(times_f4)
         assert len(times_f4) == 1 + 8 * 2
+
+    @pytest.mark.parametrize("kind", ["strobe", "gradual"])
+    @pytest.mark.parametrize("step_tol", [1e-4, 1e-12])
+    def test_configured_step_tol_reaches_the_propagator(
+        self, tmp_path, monkeypatch, kind, step_tol
+    ):
+        seen = []
+        propagate = analysis.intra_cycle_trajectory
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("step_tol"))
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "intra_cycle_trajectory", spy)
+        cfg = dataclasses.replace(qubit_defaults(), tolerances=TolerancesSpec(step_tol=step_tol))
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        assert main([kind, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert seen and set(seen) == {step_tol}
+
+
+class TestStdout:
+    """Without --quiet each kind prints its summary; with it, nothing."""
+
+    KINDS = ("effective", "simulate", "fig1", "chernoff", "dissipative", "strobe", "gradual", "lie")
+
+    @staticmethod
+    def _run(kind, tmp_path, capsys, quiet):
+        if kind in ("effective", "fig1"):
+            cfg = dataclasses.replace(
+                default_config(),
+                model=dataclasses.replace(default_config().model, cutoff=20),
+                schedule=ScheduleSpec(f_list=(4.0, 2.0), total_time=2.0, samples_per_cycle=2),
+            )
+        else:
+            cfg = dataclasses.replace(
+                qubit_defaults(),
+                schedule=dataclasses.replace(qubit_defaults().schedule, total_time=1.0),
+            )
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        out = tmp_path / "out"
+        args = [kind, "--config", str(path), "--out", str(out)] + ["--quiet"] * quiet
+        capsys.readouterr()
+        assert main(args) == 0
+        return out, capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quiet_prints_nothing(self, tmp_path, capsys, kind):
+        assert self._run(kind, tmp_path, capsys, quiet=True)[1] == ""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_summary(self, tmp_path, capsys, kind):
+        out, stdout = self._run(kind, tmp_path, capsys, quiet=False)
+        _, rows = read_csv(out / f"{kind}.csv")
+        meta = json.loads((out / f"{kind}.meta.json").read_text())
+        if kind == "effective":
+            h_eff = np.zeros((20, 20), dtype=complex)
+            for r in rows:
+                h_eff[int(r[0]), int(r[1])] = float(r[2]) + 1j * float(r[3])
+            with np.printoptions(precision=6, suppress=True, linewidth=120):
+                expected = f"effective Hamiltonian:\n{h_eff}\n"
+        else:
+            rounded = [float(f"{float(r[1]):.3e}") for r in rows]  # the gradual deviations
+            expected = {
+                "simulate": "",
+                "fig1": "fig1: f=4.0 done (8 cycles)\nfig1: f=2.0 done (4 cycles)\n",
+                "chernoff": f"chernoff: fitted order {meta.get('fitted_order')}\n",
+                "dissipative": f"dissipative: slope-vs-f order {meta.get('slope_order')}\n",
+                "strobe": "",
+                "gradual": f"gradual: deviations {rounded}\n",
+                "lie": "lie: algebra dimension 3\n",
+            }[kind]
+        assert stdout == expected

@@ -792,8 +792,8 @@ class TestMatvecSeriesUnderStrongReset:
 class TestOpenIntraCycleAgainstOracle:
     """Interior samples of one open cycle on both open paths.
 
-    The second sample is reached by a segment that starts from the first
-    one, so segment chaining is checked too.
+    Each sample is propagated from the start of the cycle; nothing is
+    chained from an earlier sample.
     """
 
     @staticmethod

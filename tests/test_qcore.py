@@ -334,7 +334,7 @@ class TestDensityMatrix:
             DensityMatrix.from_matrix(np.diag([1.2, -0.2]))
 
     def test_unchecked_path_skips_validation(self):
-        DensityMatrix.unchecked(op(np.diag([1.2, -0.2])))
+        DensityMatrix(op(np.diag([1.2, -0.2])), validate=False)
 
     def test_tolerance_override(self):
         m = np.diag([1.0, -5e-9])
