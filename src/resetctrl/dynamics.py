@@ -27,7 +27,10 @@ Three execution paths exist, and ``_path`` chooses between them: a
 closed generator propagates the joint unitary; an open one with joint
 dimension up to ``SUPEROP_PATH_MAX_DIM`` the dense superoperator; a
 larger open one steps the joint state with matrix-free exponentials and
-never materializes a superoperator. On the closed path the map one cycle
+never materializes a superoperator. Each CF4 exponent there is one fused
+Lindblad form of L_free + c L_SA with the jumps of both parts stacked
+(``_LindbladForm.plus``), so every term of its power series is one
+application of two matmuls for K and two for all jumps. On the closed path the map one cycle
 induces on the system is stored as system-space Kraus blocks: with
 rho_A = sum_k p_k |a_k><a_k|, M_jk = sqrt(p_k) (1 kron <j|) U (1 kron
 |a_k>), d_S x d_S blocks of the joint unitary (``_kraus``). Cycle
@@ -71,6 +74,8 @@ from .qcore import (
     DensityMatrix,
     Operator,
     SuperOperator,
+    _hstack,
+    _kraus_apply,
     expm_hermitian,
     mat_exp,
     partial_trace_matrix,
@@ -94,6 +99,9 @@ _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 # (swapped in the second)
 _CF4_NEAR = 0.25 + np.sqrt(3.0) / 6.0
 _CF4_FAR = 0.25 - np.sqrt(3.0) / 6.0
+# a matrix-free series piece stops at ||term|| <= 1e-15 ||sum||, tested
+# on squared norms
+_SERIES_TOL_SQ = 1e-15 ** 2
 # breakpoints closer than this to a piece edge fall on the edge
 _BREAKPOINT_SLACK = 1e-12
 
@@ -268,33 +276,42 @@ def _open_step_super(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) 
 def _open_step_matvec(
     gen: CycleGenerator, zeta: float, dzeta: float, dt: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """CF4 factor of a substep as a map on joint states, without materializing L."""
+    """CF4 factor of a substep as a map on joint states, without materializing L.
+
+    Each exponent (h/2)(L_free + c L_SA) is one fused Lindblad form, so a
+    series term costs one application. Its norm bound is b_free + |c| b_sa
+    from the two cached bounds.
+    """
     half = 0.5 * dzeta * dt
-    l_free, l_sa = gen.apply_free_liouvillian, gen.apply_coupling_liouvillian
-    b_free, b_sa = gen.free_lindblad.norm_bound, gen.coupling_lindblad.norm_bound
+    free, coupling = gen.free_lindblad, gen.coupling_lindblad
     first, second = (
-        (lambda m, c=c: half * (l_free(m) + c * l_sa(m)), half * (b_free + abs(c) * b_sa))
+        (free.plus(c, coupling).apply, free.norm_bound + abs(c) * coupling.norm_bound)
         for c in _cf4_couplings(gen, zeta, dzeta)
     )
-    return lambda rho: _expmv(*second, _expmv(*first, rho))
+    return lambda rho: _expmv(*second, half, _expmv(*first, half, rho))
 
 
-def _expmv(apply_x: Callable[[np.ndarray], np.ndarray], bound: float, rho: np.ndarray):
-    """exp(X) rho for the linear map X = ``apply_x`` with ||X|| <= ``bound``.
+def _expmv(
+    apply_x: Callable[[np.ndarray], np.ndarray], bound: float, t: float, rho: np.ndarray
+) -> np.ndarray:
+    """exp(t X) rho for the linear map X = ``apply_x`` with ||X|| <= ``bound``.
 
-    The exponential is split into ceil(bound) pieces of norm <= 1 (sized
+    The exponential is split into ceil(t bound) pieces of norm <= 1 (sized
     from the generator, never from the state; cf. Al-Mohy & Higham, SIAM
     J. Sci. Comput. 33, 488 (2011)), so the k-th series term of a piece is
-    at most 1/k! of its input and the series cannot stall.
+    at most 1/k! of its input and the series cannot stall. Each term is
+    one call of ``apply_x``. A piece stops at the first term with
+    ||term|| <= 1e-15 ||sum||, compared as squared Frobenius norms from
+    ``np.vdot``, which is cheaper than ``np.linalg.norm``.
     """
-    pieces = max(1, math.ceil(bound))
+    pieces = max(1, math.ceil(t * bound))
     for _ in range(pieces):
         term = rho
         acc = rho.copy()
         for k in range(1, 60):
-            term = apply_x(term) * (1.0 / (pieces * k))
+            term = apply_x(term) * (t / (pieces * k))
             acc += term
-            if np.linalg.norm(term) <= 1e-15 * np.linalg.norm(acc):
+            if np.vdot(term, term).real <= _SERIES_TOL_SQ * np.vdot(acc, acc).real:
                 break
         else:
             raise ConvergenceError(
@@ -385,11 +402,6 @@ def _actuator_columns(rho_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs[:, keep] * np.sqrt(np.abs(p[keep])), np.sign(p[keep])
 
 
-def _hstack(stack: np.ndarray, d: int) -> np.ndarray:
-    """[X_1; ...; X_n] (n d x d) -> [X_1 | ... | X_n] (d x n d)."""
-    return stack.reshape(-1, d, d).swapaxes(0, 1).reshape(d, -1)
-
-
 def _kraus(
     u: np.ndarray, cols: np.ndarray, signs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -408,18 +420,13 @@ def _kraus(
     blocks = (u.reshape(d_s, d_a, d_s, d_a) @ cols).transpose(1, 3, 0, 2)
     left = blocks.reshape(-1, d_s)
     right = (blocks.conj().swapaxes(2, 3) * signs[:, None, None]).reshape(-1, d_s)
-    defect = float(np.max(np.abs(_hstack(right, d_s) @ left - np.eye(d_s))))
+    defect = float(np.max(np.abs(_hstack(right) @ left - np.eye(d_s))))
     if defect > _KRAUS_TOL:
         raise ValueError(
             f"cycle Kraus blocks are not trace preserving: "
             f"max |sum M^dag M - 1| = {defect:.3e} > {_KRAUS_TOL:.0e}"
         )
     return left, right
-
-
-def _kraus_apply(kraus: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.ndarray:
-    left, right = kraus
-    return _hstack(left @ rho, rho.shape[0]) @ right
 
 
 def _kraus_super(kraus: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -25,6 +25,8 @@ from .qcore import (
     HilbertSpace,
     Operator,
     SuperOperator,
+    _hstack,
+    _kraus_apply,
     ham_super,
     liouvillian_super,
     partial_trace_matrix,
@@ -257,43 +259,60 @@ class CycleGenerator:
 
 @dataclass(frozen=True)
 class _LindbladForm:
-    """A Lindbladian L m = K m + m K^dag + sum_j L_j m L_j^dag, precomputed.
+    """A Lindbladian L m = K m + m K^dag + sum_j s_j L_j m L_j^dag, precomputed.
 
-    K = -i H - (1/2) sum_j L_j^dag L_j; ``pairs`` holds (L_j, L_j^dag).
+    K = -i H - (1/2) sum_j s_j L_j^dag L_j with real weights s_j. The
+    jumps are stacked, ``left`` = [L_1; ...; L_n] and ``right`` =
+    [s_1 L_1^dag; ...; s_n L_n^dag] (n d x d each), so the jump sum costs
+    two matmuls (``qcore._kraus_apply``) whatever n. ``of`` builds a form
+    with unit weights; ``plus`` adds a real multiple of another form,
+    which scales that form's weights, so it is exact for either sign.
     """
 
     k: np.ndarray
     k_dag: np.ndarray
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    left: np.ndarray
+    right: np.ndarray
 
     @classmethod
     def of(cls, h: np.ndarray, jumps: Sequence[np.ndarray]) -> "_LindbladForm":
-        k = -1j * h
-        for l in jumps:
-            k = k - 0.5 * (l.conj().T @ l)
-        return cls(k, k.conj().T, tuple((l, l.conj().T) for l in jumps))
+        d = h.shape[0]
+        left = np.array(jumps, dtype=complex).reshape(-1, d)
+        right = np.array([l.conj().T for l in jumps], dtype=complex).reshape(-1, d)
+        k = -1j * h - 0.5 * (_hstack(right) @ left)
+        return cls(k, k.conj().T, left, right)
+
+    def plus(self, c: float, other: "_LindbladForm") -> "_LindbladForm":
+        """The form of L + c L' for L' = ``other`` and real c."""
+        k = self.k + c * other.k
+        return _LindbladForm(
+            k,
+            k.conj().T,
+            np.concatenate((self.left, other.left)),
+            np.concatenate((self.right, c * other.right)),
+        )
 
     @cached_property
     def norm_bound(self) -> float:
         """Upper bound on ||L m|| / ||m|| (Frobenius norm) over all m.
 
-        2 ||K'||_2 bounds K m + m K^dag, with K' = K + i tr(H)/d, which
-        gives the same L. The jump part J is completely positive, so
-        ||J|| <= (||J(I)|| ||J^dag(I)||)^(1/2), which does not depend on
-        how the dissipator is split into jump operators.
+        Holds for non-negative weights s_j, as in every form ``of``
+        builds. 2 ||K'||_2 bounds K m + m K^dag, with K' = K + i tr(H)/d,
+        which gives the same L. The jump part J is then completely
+        positive, so ||J|| <= (||J(I)|| ||J^dag(I)||)^(1/2), which does
+        not depend on how the dissipator is split into jump operators.
         """
         d = self.k.shape[0]
         bound = 2.0 * np.linalg.norm(self.k - 1j * np.trace(self.k).imag / d * np.eye(d), 2)
-        if self.pairs:
-            out = sum(l @ l_dag for l, l_dag in self.pairs)
-            into = sum(l_dag @ l for l, l_dag in self.pairs)
-            bound += np.sqrt(np.linalg.norm(out, 2) * np.linalg.norm(into, 2))
+        out = _hstack(self.left) @ self.right
+        into = _hstack(self.right) @ self.left
+        bound += np.sqrt(np.linalg.norm(out, 2) * np.linalg.norm(into, 2))
         return float(bound)
 
     def apply(self, m: np.ndarray) -> np.ndarray:
-        out = self.k @ m + m @ self.k_dag
-        for l, l_dag in self.pairs:
-            out += l @ m @ l_dag
+        out = self.k @ m
+        out += m @ self.k_dag
+        out += _kraus_apply((self.left, self.right), m)
         return out
 
 

@@ -251,6 +251,22 @@ def partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int], keep: int) -> 
     return tensor
 
 
+def _hstack(stack: np.ndarray) -> np.ndarray:
+    """[X_1; ...; X_n] (n d x d) -> [X_1 | ... | X_n] (d x n d); n may be 0."""
+    d = stack.shape[1]
+    return stack.reshape(-1, d, d).swapaxes(0, 1).reshape(d, len(stack))
+
+
+def _kraus_apply(kraus: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """sum_j A_j rho B_j for the stacks ``kraus`` = ([A_1; ...; A_n], [B_1; ...; B_n]).
+
+    Two matmuls whatever n: the blocks of [A_j rho] are laid side by
+    side and multiplied into the stack of the B_j.
+    """
+    left, right = kraus
+    return _hstack(left @ rho) @ right
+
+
 def partial_trace(m: Operator, keep: int) -> Operator:
     """Reduce an operator to one subsystem by tracing out all others."""
     if m.space.n_subsystems < 2:

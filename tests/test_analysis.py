@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,27 @@ class TestChernoff:
         np.testing.assert_allclose(
             prod.matrix, np.linalg.matrix_power(single.matrix, 4), atol=1e-12
         )
+
+
+def _load_scaling_study():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "scaling_study.py"
+    spec = importlib.util.spec_from_file_location("scaling_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScalingStudyScript:
+    """``scripts/scaling_study.py`` exits 0 only if both fitted orders hold."""
+
+    def test_orders_pass(self):
+        assert _load_scaling_study().main() == 0
+
+    def test_off_order_fails(self, monkeypatch):
+        # the raw order fits -0.998, outside a zero slack
+        study = _load_scaling_study()
+        monkeypatch.setattr(study, "ORDER_SLACK", 0.0)
+        assert study.main() == 1
 
 
 class TestOmega1:

@@ -7,6 +7,8 @@ from scipy.integrate import solve_ivp
 from resetctrl.analysis import fit_order, gradual_reset_generator, reset_jumps
 from resetctrl.config import default_config, qubit_defaults
 from resetctrl.dynamics import (
+    _MATVEC,
+    _SUPEROP,
     ResetSchedule,
     _actuator_columns,
     _cf4_couplings,
@@ -761,6 +763,30 @@ class TestOpenAgainstOracle:
         dense = unvec(prop @ vec(np.kron(rho0.matrix, rho_a.matrix)), 20)
         reduced = partial_trace_matrix(dense, (10, 2), keep=0)
         assert trace_distance(traj.states[-1].matrix, reduced) <= 1e-11
+
+
+class TestMatvecFactorsWithCouplingJumps:
+    """Matrix-free CF4 factors of a generator with jumps on S, A and SA.
+
+    Each fused exponent carries the coupling jumps with weight c; the
+    dense superoperator factors are the reference, also for a switching
+    function that changes sign and so makes some c negative.
+    """
+
+    @pytest.mark.parametrize("substeps", [1, 2, 8])
+    @pytest.mark.parametrize("sign_change", [False, True])
+    def test_matches_dense_factors(self, substeps, sign_change, rng):
+        gen, rho_a = random_open_qq(rng)
+        if sign_change:
+            gen = dataclasses.replace(gen, g=from_table([0.0, 1.0], [1.2, -0.9]))
+        grid = _substep_grid(gen.g, 0.0, 1.0, substeps)
+        if sign_change:
+            assert min(min(_cf4_couplings(gen, z, w)) for z, w in zip(*grid[:2])) < 0.0
+        dt = 0.7
+        joint = np.kron(random_density(rng, 2), rho_a.matrix)
+        (matvec,) = _sweep(gen, _MATVEC, dt, grid, joint)
+        (dense,) = _sweep(gen, _SUPEROP, dt, grid)
+        assert np.max(np.abs(matvec - unvec(dense @ vec(joint), 4))) <= 1e-11
 
 
 class TestMatvecSeriesUnderStrongReset:

@@ -28,6 +28,7 @@ from resetctrl.qcore import (
     Operator,
     ham_super,
     partial_trace_matrix,
+    unvec,
     vec,
 )
 from resetctrl import bloch_density
@@ -142,6 +143,22 @@ class TestLindbladNormBound:
         h = random_hermitian(rng, 4)
         bound = _LindbladForm.of(h, ()).norm_bound
         assert _LindbladForm.of(h + 50.0 * np.eye(4), ()).norm_bound == pytest.approx(bound)
+
+
+class TestFusedLindbladForm:
+    @pytest.mark.parametrize("c", [-0.7, 0.0, 0.3, 2.1])
+    def test_matches_two_applications(self, c, rng):
+        # jumps on S, A and SA: a negative c gives the coupling jumps
+        # negative weights
+        for _ in range(5):
+            gen, _ = random_open_qq(rng)
+            fused = gen.free_lindblad.plus(c, gen.coupling_lindblad)
+            m = random_matrix(rng, 4)
+            two_calls = gen.apply_free_liouvillian(m) + c * gen.apply_coupling_liouvillian(m)
+            dense = unvec((gen.free_super.matrix + c * gen.coupling_super.matrix) @ vec(m), 4)
+            tol = 1e-12 * np.linalg.norm(m)
+            assert np.max(np.abs(fused.apply(m) - two_calls)) <= tol
+            assert np.max(np.abs(fused.apply(m) - dense)) <= tol
 
 
 class TestEffectiveHamiltonian:
