@@ -35,6 +35,14 @@ from .qcore import (
 
 _PROBE_SEED = 7
 _N_RANDOM_PROBES = 100
+# deviations at or below these count as exact convergence: FIT_ZERO_FLOOR
+# in fit_order, DISSIPATIVE_EXACT_FLOOR over a whole dissipative scan
+FIT_ZERO_FLOOR = 1e-13
+DISSIPATIVE_EXACT_FLOOR = 1e-9
+# slack on the mid-cycle bound in stroboscopic_bound_check
+STROBE_BOUND_SLACK = 1e-9
+# absolute rank tolerance on unit-norm candidates in lie_algebra_dimension
+LIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,10 @@ def linear_fit(xs, ys) -> LinearFit:
     return LinearFit(float(slope), float(intercept), r2)
 
 
-def fit_order(xs, ys, zero_floor: float = 1e-13) -> ScalingReport:
+def fit_order(xs, ys) -> ScalingReport:
     """Least-squares slope of log(ys) against log(xs).
 
-    Deviations that are all below ``zero_floor`` indicate exact
+    Deviations that are all at or below ``FIT_ZERO_FLOOR`` indicate exact
     convergence; the report carries a flag instead of a meaningless fit.
     """
     xs = tuple(float(x) for x in xs)
@@ -82,7 +90,7 @@ def fit_order(xs, ys, zero_floor: float = 1e-13) -> ScalingReport:
         raise ValueError("xs must be positive and strictly increasing")
     if min(ys) < 0:
         raise ValueError("ys must be non-negative")
-    if max(ys) <= zero_floor:
+    if max(ys) <= FIT_ZERO_FLOOR:
         return ScalingReport(xs, ys, float("nan"), float("nan"), exact=True)
     if min(ys) <= 0:
         raise ValueError("mixed zero and nonzero deviations cannot be fitted")
@@ -113,10 +121,11 @@ def hermitian_probe_basis(dim: int) -> list[np.ndarray]:
     return probes
 
 
-def random_pure_probes(dim: int, count: int = _N_RANDOM_PROBES, seed: int = _PROBE_SEED) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
+def random_pure_probes(dim: int) -> list[np.ndarray]:
+    """``_N_RANDOM_PROBES`` pure-state projectors, seeded by ``_PROBE_SEED``."""
+    rng = np.random.default_rng(_PROBE_SEED)
     probes = []
-    for _ in range(count):
+    for _ in range(_N_RANDOM_PROBES):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
         probes.append(np.outer(v, v.conj()))
@@ -196,15 +205,13 @@ def omega1_super(
     phi2: SuperOperator,
     t: float,
     nodes: int = 8,
-    *,
-    rtol: float = 1e-8,
-    node_cap: int = 2 ** 12,
 ) -> SuperOperator:
     """First-order coefficient of the 1/n expansion of the cycle product.
 
     Evaluates t^2 * integral over tau in [0,1] of
     exp(Phi1 tau t) (Phi2 - Phi1^2 / 2) exp(Phi1 (1-tau) t)
-    by Gauss-Legendre quadrature with node doubling.
+    by Gauss-Legendre quadrature with node doubling from ``nodes``, at
+    ``quadrature.integrate_operator``'s default tolerance and node cap.
     """
     if phi1.space.total_dim != phi2.space.total_dim:
         raise ValueError("phi1 and phi2 must act on the same space")
@@ -222,9 +229,7 @@ def omega1_super(
         right = mat_exp(phi1.matrix * ((1.0 - tau) * t))
         return left @ core @ right
 
-    integral = quadrature.integrate_operator(
-        integrand, 0.0, 1.0, rtol=rtol, start_nodes=nodes, node_cap=node_cap
-    )
+    integral = quadrature.integrate_operator(integrand, 0.0, 1.0, start_nodes=nodes)
     return SuperOperator(t * t * integral, phi1.space)
 
 
@@ -254,7 +259,6 @@ def dissipative_scaling(
     t_grid,
     *,
     step_tol: float = 1e-9,
-    exact_floor: float = 1e-9,
 ) -> DissipativeScalingResult:
     """Measure the deviation from the effective trajectory against f.
 
@@ -262,7 +266,8 @@ def dissipative_scaling(
     effective-Hamiltonian-evolved pure state is fitted linearly in t;
     the slopes are then fitted against f on a log-log scale (the
     predicted order is -1). Times snap to integer cycle counts; the
-    rates are scanned in ascending order.
+    rates are scanned in ascending order. A scan whose deviations are
+    all at or below ``DISSIPATIVE_EXACT_FLOOR`` is reported as exact.
     """
     f_list = sorted(float(f) for f in f_list)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
@@ -286,7 +291,7 @@ def dissipative_scaling(
 
     slopes = [scan.fit.slope for scan in scans]
     all_devs = [d for scan in scans for d in scan.deviations]
-    if max(all_devs) <= exact_floor:
+    if max(all_devs) <= DISSIPATIVE_EXACT_FLOOR:
         report = ScalingReport(
             tuple(f_list), tuple(slopes), float("nan"), float("nan"), exact=True
         )
@@ -348,32 +353,28 @@ def measured_stroboscopic_deviation(
     return Operator(eff_first - traj.states[-1].matrix, gen.space_S)
 
 
-def stroboscopic_bound_check(
-    g: SwitchingFunction, tau: float, dt: float, slack: float = 1e-9
-) -> bool:
-    """Check |braced term| <= 2 g_max (dt - tau) / tau, with slack."""
+def stroboscopic_bound_check(g: SwitchingFunction, tau: float, dt: float) -> bool:
+    """Check |braced term| <= 2 g_max (dt - tau) / tau + ``STROBE_BOUND_SLACK``."""
     if not 0.0 < tau <= dt:
         raise ValueError("need 0 < tau <= dt")
     braced = abs(braced_switching_term(g, tau, dt))
     bound = 2.0 * g.g_max * (dt - tau) / tau
-    return braced <= bound + slack
+    return braced <= bound + STROBE_BOUND_SLACK
 
 
 # ---------------------------------------------------------------------------
 # reachability
 
 
-def _embed_real(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)])
-
-
-def lie_algebra_dimension(generators, tol: float = 1e-9) -> int:
+def lie_algebra_dimension(generators) -> int:
     """Dimension of the real Lie algebra generated by {i H_k}.
 
-    Iterates commutators, projecting each candidate onto the orthogonal
-    complement of the current span (Hilbert-Schmidt inner product on
-    anti-Hermitian matrices) and adding directions whose normalized
-    residual exceeds ``tol``, until closure.
+    A rank-revealing closure on anti-Hermitian matrices, viewed as real
+    vectors (Hilbert-Schmidt inner product). Each round takes the
+    commutators of the newest directions with the whole basis, drops those
+    of norm at most ``LIE_TOL``, normalizes the rest, projects the current
+    span out twice and adds the right singular vectors whose singular
+    values exceed ``LIE_TOL``. It stops when a round adds nothing.
     """
     mats = []
     for k, h in enumerate(generators):
@@ -384,42 +385,26 @@ def lie_algebra_dimension(generators, tol: float = 1e-9) -> int:
     if not mats:
         return 0
     dim = mats[0].shape[0]
-    max_dim = dim * dim  # real dimension of u(d)
+    # orthonormal rows, each the real view (two floats per entry) of a matrix
+    basis = np.empty((0, 2 * dim * dim))
 
-    basis_mats: list[np.ndarray] = []
-    basis_vecs: list[np.ndarray] = []
+    def extend(candidates: np.ndarray) -> np.ndarray:
+        nonlocal basis
+        v = candidates.reshape(-1, dim * dim).view(float)
+        norms = np.linalg.norm(v, axis=1)
+        v = v[norms > LIE_TOL] / norms[norms > LIE_TOL, None]
+        for _ in range(2):
+            v = v - (v @ basis.T) @ basis
+        _, sv, vt = np.linalg.svd(v, full_matrices=False)
+        new = vt[sv > LIE_TOL]
+        basis = np.concatenate([basis, new])
+        return new.view(complex).reshape(-1, dim, dim)
 
-    def try_add(candidate: np.ndarray) -> bool:
-        norm = np.linalg.norm(candidate)
-        if norm <= tol:
-            return False
-        v = _embed_real(candidate / norm)
-        for b in basis_vecs:
-            v = v - np.dot(b, v) * b
-        resid = np.linalg.norm(v)
-        if resid <= tol:
-            return False
-        v /= resid
-        basis_vecs.append(v)
-        half = dim * dim
-        basis_mats.append((v[:half] + 1j * v[half:]).reshape(dim, dim))
-        return True
-
-    for m in mats:
-        try_add(m)
-
-    frontier = list(range(len(basis_mats)))
-    while frontier and len(basis_mats) < max_dim:
-        new_frontier = []
-        for i in frontier:
-            j = 0
-            while j < len(basis_mats):
-                a, b = basis_mats[i], basis_mats[j]
-                if try_add(a @ b - b @ a):
-                    new_frontier.append(len(basis_mats) - 1)
-                j += 1
-        frontier = new_frontier
-    return len(basis_mats)
+    newest = extend(np.array(mats))
+    while len(newest) and len(basis) < dim * dim:
+        a, b = newest[:, None], basis.view(complex).reshape(-1, dim, dim)[None]
+        newest = extend(a @ b - b @ a)
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------

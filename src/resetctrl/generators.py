@@ -27,7 +27,6 @@ from .qcore import (
     SuperOperator,
     _hstack,
     _kraus_apply,
-    ham_super,
     liouvillian_super,
     partial_trace_matrix,
     vec,
@@ -108,11 +107,6 @@ def from_table(zs: Sequence[float], values: Sequence[float]) -> SwitchingFunctio
     )
 
 
-def _check_hermitian(name: str, op: Operator, tol: float):
-    if not op.is_hermitian(tol):
-        raise ValueError(f"{name} must be Hermitian within {tol:.1e}")
-
-
 @dataclass(frozen=True)
 class CycleGenerator:
     """Liouvillian decomposition of one evolve-and-reset cycle.
@@ -144,7 +138,8 @@ class CycleGenerator:
         ):
             if op.dim != dim:
                 raise ValueError(f"{name} has dimension {op.dim}, expected {dim}")
-            _check_hermitian(name, op, TOL_HERM)
+            if not op.is_hermitian():
+                raise ValueError(f"{name} must be Hermitian within {TOL_HERM:.1e}")
         for name, jumps, dim in (
             ("jumps_S", self.jumps_S, d_s),
             ("jumps_A", self.jumps_A, d_a),
@@ -371,10 +366,7 @@ def phi1_super(gen: CycleGenerator, rho_A: DensityMatrix) -> SuperOperator:
     Hamiltonian.
     """
     _check_actuator_state(gen, rho_A)
-    if gen.jumps_S:
-        system_part = liouvillian_super(gen.h_S, gen.jumps_S).matrix
-    else:
-        system_part = ham_super(gen.h_S).matrix
+    system_part = liouvillian_super(gen.h_S, gen.jumps_S).matrix
     coupling_part = _reduced_super(gen, rho_A, gen.apply_coupling_liouvillian)
     return SuperOperator(system_part + gen.g.mean * coupling_part, gen.space_S)
 
@@ -383,28 +375,21 @@ def _phi2_weights(g: SwitchingFunction) -> tuple[float, float, float, float]:
     """Scalar weights of the time-ordered double integral of L(z1) L(z2).
 
     Expanding L(z) = L0 + g(z) L1 over the triangle z1 >= z2 gives
-    weights for the four operator orderings L0L0, L1L0, L0L1, L1L1.
+    weights for the four operator orderings L0L0, L1L0, L0L1, L1L1. Only
+    w_10 = int g(z) z dz needs quadrature: w_01 = int g(z) (1 - z) dz is
+    the mean minus w_10, and with G(z) = int_0^z g the triangle integral
+    w_11 = int g(z) G(z) dz is G(1)^2 / 2 = mean^2 / 2.
     """
-    bp = g.breakpoints
-    w_00 = 0.5
-    w_10 = quadrature.integrate_scalar(lambda z: g(z) * z, breakpoints=bp)
-    w_01 = quadrature.integrate_scalar(lambda z: g(z) * (1.0 - z), breakpoints=bp)
-
-    def inner(z1: float) -> float:
-        if z1 <= 0.0:
-            return 0.0
-        return quadrature.integrate_scalar(g.evaluate, 0.0, z1, breakpoints=bp)
-
-    w_11 = quadrature.integrate_scalar(lambda z: g(z) * inner(z), breakpoints=bp)
-    return w_00, w_10, w_01, w_11
+    w_10 = quadrature.integrate_scalar(lambda z: g(z) * z, breakpoints=g.breakpoints)
+    return 0.5, w_10, g.mean - w_10, 0.5 * g.mean ** 2
 
 
 def phi2_super(gen: CycleGenerator, rho_A: DensityMatrix) -> SuperOperator:
     """Second-order coefficient of the short-cycle expansion.
 
     The time-ordered double integral is exact in the operator structure;
-    only four scalar switching-function moments are computed by
-    quadrature.
+    of its four scalar weights only one is computed by quadrature
+    (``_phi2_weights``).
     """
     _check_actuator_state(gen, rho_A)
     w_00, w_10, w_01, w_11 = _phi2_weights(gen.g)

@@ -53,15 +53,15 @@ def fock_state(index: int, cutoff: int) -> np.ndarray:
     return v
 
 
-def minimal_coherent_cutoff(alpha: complex, tail_limit: float = COHERENT_TAIL_LIMIT) -> int:
-    """Smallest truncation whose discarded Poisson tail is below the limit."""
+def minimal_coherent_cutoff(alpha: complex) -> int:
+    """Smallest truncation whose discarded Poisson tail is at most ``COHERENT_TAIL_LIMIT``."""
     mean = abs(alpha) ** 2
     if mean == 0.0:
         return 1
     log_term = -mean  # log of the n = 0 Poisson weight
     cumulative = math.exp(log_term)
     n = 0
-    while 1.0 - cumulative > tail_limit:
+    while 1.0 - cumulative > COHERENT_TAIL_LIMIT:
         n += 1
         log_term += math.log(mean) - math.log(n)
         cumulative += math.exp(log_term)

@@ -8,7 +8,7 @@ Conventions used throughout the package:
   Every superoperator constructor and consumer in this package shares
   this convention.
 * Default tolerances: hermiticity and trace 1e-10, positivity -1e-8,
-  overridable per call.
+  overridable per call on DensityMatrix and is_cptp only.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import scipy.linalg
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-8
+# a pure reference vector must have unit norm within this (fidelity_pure)
+FIDELITY_NORM_TOL = 1e-8
 
 # expm overflows double precision well before this; reject early with a
 # clear error instead of returning inf entries.
@@ -100,8 +102,9 @@ class Operator:
     def dim(self) -> int:
         return self.space.total_dim
 
-    def is_hermitian(self, tol: float = TOL_HERM) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        """Hermitian within ``TOL_HERM`` (max-abs asymmetry)."""
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= TOL_HERM)
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -310,25 +313,28 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm(np.asarray(a) - np.asarray(b))
 
 
-def fidelity_pure(rho: DensityMatrix, psi: np.ndarray, norm_tol: float = 1e-8) -> float:
-    """sqrt(<psi| rho |psi>) between a state and a pure reference."""
+def fidelity_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
+    """sqrt(<psi| rho |psi>) between a state and a pure reference.
+
+    ``psi`` must have unit norm within ``FIDELITY_NORM_TOL``.
+    """
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape[0] != rho.space.total_dim:
         raise ValueError(
             f"state vector length {v.shape[0]} != state dimension {rho.space.total_dim}"
         )
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > norm_tol:
+    if abs(norm - 1.0) > FIDELITY_NORM_TOL:
         raise ValueError(f"reference vector norm {norm:.12g} is not 1")
     overlap = float(np.real(v.conj() @ rho.matrix @ v))
     return math.sqrt(min(max(overlap, 0.0), 1.0))
 
 
-def ham_super(h: Operator, tol_herm: float = TOL_HERM) -> SuperOperator:
-    """Commutator superoperator rho -> -i [h, rho] (hbar = 1)."""
-    m = h.matrix
-    if np.max(np.abs(m - m.conj().T)) > tol_herm:
+def ham_super(h: Operator) -> SuperOperator:
+    """Commutator superoperator rho -> -i [h, rho] (hbar = 1); h Hermitian within ``TOL_HERM``."""
+    if not h.is_hermitian():
         raise ValueError("ham_super requires a Hermitian operator")
+    m = h.matrix
     d = m.shape[0]
     eye = np.eye(d)
     return SuperOperator(-1j * (np.kron(eye, m) - np.kron(m.T, eye)), h.space)
@@ -359,15 +365,14 @@ def liouvillian_super(h: Operator | None, jumps: Iterable[Operator] = ()) -> Sup
 
 
 def choi_matrix(s: SuperOperator) -> np.ndarray:
-    """Choi representation sum_ij E_ij kron Phi(E_ij) (input factor first)."""
+    """Choi representation sum_ij E_ij kron Phi(E_ij) (input factor first).
+
+    Phi(E_ij)[a, b] = S[a + b d, i + j d] in the column-stacking
+    convention, so the Choi entry [(i, a), (j, b)] is S4[b, a, j, i] of the
+    C-order view S4 of S: one transpose and reshape.
+    """
     d = s.dim
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            choi += np.kron(e, s.apply(e))
-    return choi
+    return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def is_cptp(

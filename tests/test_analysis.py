@@ -368,6 +368,42 @@ class TestLieAlgebra:
     def test_accepts_operators(self):
         assert lie_algebra_dimension([Operator.from_matrix(SIGMA_Z)]) == 1
 
+    @pytest.mark.parametrize("d", [5, 6, 8])
+    def test_generic_pair_generates_u_d(self, d):
+        # two generic Hermitian matrices generate u(d), of real dimension d^2;
+        # a closure whose basis loses orthogonality counts roundoff as new
+        # directions (53 at d = 5 and 76-77 at d = 6 on these pairs)
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            pair = [random_hermitian(rng, d) for _ in range(2)]
+            assert lie_algebra_dimension(pair) == d * d
+
+    def test_commuting_generators_give_their_rank(self):
+        # diagonal 2x2 matrices commute exactly; over six decades of scale the
+        # three generators span the two diagonal directions and nothing else
+        gens = [1e-3 * np.diag([1.0, 2.0]), np.diag([3.0, -1.0]), 1e3 * np.diag([-2.0, 0.5])]
+        assert lie_algebra_dimension(gens) == 2
+
+    def test_block_diagonal_pair_generates_the_block_algebra(self, rng):
+        # generic 2+3 block-diagonal pairs generate su(2) + su(3) plus the two
+        # block identities: 3 + 8 + 2
+        for _ in range(3):
+            pair = []
+            for _ in range(2):
+                h = np.zeros((5, 5), dtype=complex)
+                h[:2, :2] = random_hermitian(rng, 2)
+                h[2:, 2:] = random_hermitian(rng, 3)
+                pair.append(h)
+            assert lie_algebra_dimension(pair) == 13
+
+    def test_never_exceeds_u_d(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4, 5, 6):
+            for count in (1, 2, 3):
+                gens = [random_hermitian(rng, d, scale=10.0 ** rng.uniform(-3, 3))
+                        for _ in range(count)]
+                assert lie_algebra_dimension(gens) <= d * d
+
 
 class TestGradualReset:
     def test_reset_jumps_drive_to_target(self, rng):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from resetctrl.generators import (
     CycleGenerator,
     _LindbladForm,
+    _phi2_weights,
     SwitchingFunction,
     constant,
     effective_hamiltonian,
@@ -32,6 +33,7 @@ from resetctrl.qcore import (
     vec,
 )
 from resetctrl import bloch_density
+from resetctrl.quadrature import integrate_scalar
 from helpers import (
     QQ,
     caption_qq,
@@ -288,7 +290,35 @@ def _phi2_triangle_oracle(gen, rho_a, nodes):
     return cols
 
 
+def _phi2_weights_by_quadrature(g):
+    """The four weights as three direct quadratures, the triangle one nested."""
+    bp = g.breakpoints
+    w_10 = integrate_scalar(lambda z: g(z) * z, breakpoints=bp)
+    w_01 = integrate_scalar(lambda z: g(z) * (1.0 - z), breakpoints=bp)
+
+    def inner(z1):
+        return integrate_scalar(g.evaluate, 0.0, z1, breakpoints=bp) if z1 > 0.0 else 0.0
+
+    w_11 = integrate_scalar(lambda z: g(z) * inner(z), breakpoints=bp)
+    return 0.5, w_10, w_01, w_11
+
+
 class TestPhi2:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            square_pulse(1.2, 0.1, 0.6),
+            from_table([0.0, 0.2, 0.5, 0.9, 1.0], [0.0, 1.5, -0.4, 0.8, 0.1]),
+        ],
+        ids=["square", "table"],
+    )
+    def test_weights_match_direct_quadrature(self, g):
+        # pulses with breakpoints and w_10 != w_01, which a time-symmetric
+        # pulse cannot tell apart
+        np.testing.assert_allclose(
+            _phi2_weights(g), _phi2_weights_by_quadrature(g), rtol=0.0, atol=1e-12
+        )
+
     def test_static_decoupled_case(self, rng):
         gen, rho_a = random_closed_qq(rng, coupling_scale=1.0)
         import dataclasses

@@ -289,6 +289,19 @@ class TestChoi:
         s = SuperOperator(mat_exp(ham_super(op(h)).matrix * 0.9), HilbertSpace((3,)))
         assert is_cptp(s)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_definition(self, rng, d):
+        # a random complex map preserves no Hermiticity, so every index
+        # permutation of the Choi matrix differs from it
+        s = SuperOperator(random_matrix(rng, d * d), HilbertSpace((d,)))
+        expected = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = 1.0
+                expected += np.kron(e, unvec(s.matrix @ vec(e), d))
+        np.testing.assert_array_equal(choi_matrix(s), expected)
+
     def test_transpose_map_not_cp(self):
         d = 2
         cols = [vec(unvec(e, d).T) for e in np.eye(d * d, dtype=complex)]
