@@ -30,13 +30,18 @@ larger open one steps the joint state with matrix-free exponentials and
 never materializes a superoperator. Each CF4 exponent there is one fused
 Lindblad form of L_free + c L_SA with the jumps of both parts stacked
 (``_LindbladForm.plus``), so every term of its power series is one
-application of two matmuls for K and two for all jumps. On the closed path the map one cycle
-induces on the system is stored as system-space Kraus blocks: with
-rho_A = sum_k p_k |a_k><a_k|, M_jk = sqrt(p_k) (1 kron <j|) U (1 kron
-|a_k>), d_S x d_S blocks of the joint unitary (``_kraus``). Cycle
-kernels apply them to the system state, and the closed ``cycle_map`` is
-sum conj(M) kron M; neither forms a joint state. Every Kraus set is
-checked once for sum M^dag M = 1. The open paths stay joint.
+application of two matmuls for K and two for all jumps.
+
+Both dense paths cut a joint propagator once into the map it induces on
+the system for the reset state rho_A. The closed path stores
+system-space Kraus blocks: with rho_A = sum_k p_k |a_k><a_k|, M_jk =
+sqrt(p_k) (1 kron <j|) U (1 kron |a_k>), d_S x d_S blocks of the joint
+unitary (``_kraus``), checked once for sum M^dag M = 1; the closed
+``cycle_map`` is sum conj(M) kron M. The dense open path stores the
+d_S^2 x d_S^2 matrix of rho_S -> tr_A[P (rho_S kron rho_A)]
+(``_system_super``), which is also its ``cycle_map``. Cycle kernels
+apply these maps to the system state, so only the matrix-free path
+forms joint states.
 
 One state propagator, ``_CycleKernel``, serves both the reset
 trajectories and the intra-cycle samples: a sample a time tau into a
@@ -178,7 +183,6 @@ def _substep_grid(
     number of substeps up to the end of each part. Without breakpoints
     this is the uniform grid of ``parts * substeps`` substeps.
     """
-    h = (b - a) / (parts * substeps)
     centres: list[float] = []
     widths: list[float] = []
     ends = []
@@ -187,17 +191,11 @@ def _substep_grid(
         inner = sorted(
             p for p in g.breakpoints if lo + _BREAKPOINT_SLACK < p < hi - _BREAKPOINT_SLACK
         )
-        if inner:
-            cuts = [lo, *inner, hi]
-            for c0, c1 in zip(cuts, cuts[1:]):
-                w = (c1 - c0) / substeps
-                centres += [c0 + w * (j + 0.5) for j in range(substeps)]
-                widths += [w] * substeps
-        else:
-            # points of the uniform grid itself, so outputs without
-            # breakpoints do not move in the last digit
-            centres += [a + h * (k * substeps + j + 0.5) for j in range(substeps)]
-            widths += [h] * substeps
+        cuts = [lo, *inner, hi]
+        for c0, c1 in zip(cuts, cuts[1:]):
+            w = (c1 - c0) / substeps
+            centres += [c0 + w * (j + 0.5) for j in range(substeps)]
+            widths += [w] * substeps
         ends.append(len(centres))
     return centres, widths, ends
 
@@ -325,23 +323,20 @@ def _expmv(
 class _Path:
     """One representation of the substep factors of a cycle.
 
-    ``factor(gen, zeta, dzeta, dt)`` builds the factor of one substep;
-    on the open paths ``act(f, joint)`` applies a factor, or a product of
-    dense factors, to a joint-space matrix (the closed path acts on
-    system states through Kraus blocks instead). A dense factor is a
-    square matrix of side d ** ``power`` for joint dimension d; a
-    matrix-free one has no power.
+    ``factor(gen, zeta, dzeta, dt)`` builds the factor of one substep. A
+    dense factor is a square matrix of side d ** ``power`` for joint
+    dimension d; a matrix-free one is a map on joint states and has no
+    power.
     """
 
     name: str
     factor: Callable
-    act: Callable[[object, np.ndarray], np.ndarray] | None
     power: int | None
 
 
-_UNITARY = _Path("unitary", _closed_step, None, 1)
-_SUPEROP = _Path("superop", _open_step_super, lambda p, m: unvec(p @ vec(m), m.shape[0]), 2)
-_MATVEC = _Path("matvec", _open_step_matvec, lambda f, m: f(m), None)
+_UNITARY = _Path("unitary", _closed_step, 1)
+_SUPEROP = _Path("superop", _open_step_super, 2)
+_MATVEC = _Path("matvec", _open_step_matvec, None)
 
 
 def _path(gen: CycleGenerator) -> _Path:
@@ -361,14 +356,14 @@ def _sweep(
     """Run the substep factors of ``grid`` in order; return the value at each part end.
 
     Without ``joint`` the dense factors are left-multiplied into partial
-    products, starting from the identity; with it every factor acts on
-    the joint state in turn.
+    products, starting from the identity; with it every matrix-free
+    factor acts on the joint state in turn.
     """
     zetas, widths, ends = grid
     if joint is None:
         cur, step = np.eye(gen.total_dim ** path.power, dtype=complex), operator.matmul
     else:
-        cur, step = joint, path.act
+        cur, step = joint, lambda f, m: f(m)
     if dt == 0.0:
         return [cur] * len(ends)
     factor = path.factor
@@ -378,11 +373,6 @@ def _sweep(
         if k in ends:
             out.append(cur)
     return out
-
-
-def _reduce(gen: CycleGenerator, joint: np.ndarray) -> np.ndarray:
-    """tr_A of a joint-space matrix."""
-    return partial_trace_matrix(joint, (gen.space_S.total_dim, gen.space_A.total_dim), keep=0)
 
 
 def _system_state(gen: CycleGenerator, m: np.ndarray) -> DensityMatrix:
@@ -427,6 +417,11 @@ def _kraus(
             f"max |sum M^dag M - 1| = {defect:.3e} > {_KRAUS_TOL:.0e}"
         )
     return left, right
+
+
+def _system_super(gen: CycleGenerator, rho_A: DensityMatrix, p: np.ndarray) -> np.ndarray:
+    """Matrix of rho_S -> tr_A[P (rho_S kron rho_A)] for a dense joint superoperator P."""
+    return _reduced_super(gen, rho_A, lambda m: unvec(p @ vec(m), m.shape[0]))
 
 
 def _kraus_super(kraus: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -514,7 +509,7 @@ def cycle_map(
     if path is _UNITARY:
         reduced = _kraus_super(_kraus(prop, *_actuator_columns(rho_A.matrix)))
     else:
-        reduced = _reduced_super(gen, rho_A, lambda m: path.act(prop, m))
+        reduced = _system_super(gen, rho_A, prop)
     return SuperOperator(reduced, gen.space_S)
 
 
@@ -528,11 +523,12 @@ class _CycleKernel:
     The cycle fractions [0, ``end``] are split into ``parts`` equal
     sample intervals, each propagated with ``substeps_per_piece``
     substeps per piece of the breakpoint-aligned grid; ``substeps`` is
-    the total. The closed path
-    stores the Kraus blocks of the partial products up to each sample
-    (``actuator`` is ``_actuator_columns(rho_a)``), the dense open path
-    the partial products themselves; the matrix-free path steps every
-    joint state through the factors instead.
+    the total. Both dense paths cut the partial product up to each
+    sample once into a map on the system: the closed path into Kraus
+    blocks (``actuator`` is ``_actuator_columns(rho_a)``), the dense
+    open path into the d_S^2 x d_S^2 matrix of rho_S -> tr_A[P (rho_S
+    kron rho_a)]. Only the matrix-free path forms joint states: it steps
+    rho_S kron rho_a through the factors on every apply.
     """
 
     def __init__(
@@ -551,22 +547,26 @@ class _CycleKernel:
         self._grid = _substep_grid(gen.g, 0.0, end, substeps_per_piece, parts)
         self.substeps = self._grid[2][-1]
         self._rho_a = rho_a
-        self._partials = self._kraus = None
+        self._kraus = self._supers = None
         if self.path is _UNITARY:
             self._kraus = [_kraus(u, *actuator) for u in _sweep(gen, _UNITARY, gap, self._grid)]
-        elif self.path.power is not None:
-            self._partials = _sweep(gen, self.path, gap, self._grid)
+        elif self.path is _SUPEROP:
+            rho = DensityMatrix(Operator(rho_a, gen.space_A), validate=False)
+            partials = _sweep(gen, _SUPEROP, gap, self._grid)
+            self._supers = [_system_super(gen, rho, p) for p in partials]
 
     def apply(self, rho_s: np.ndarray) -> list[np.ndarray]:
         """Propagate a system state through one cycle, returning it at each sample."""
         if self._kraus is not None:
             return [_kraus_apply(k, rho_s) for k in self._kraus]
+        d_s = rho_s.shape[0]
+        if self._supers is not None:
+            return [unvec(s @ vec(rho_s), d_s) for s in self._supers]
         joint = np.kron(rho_s, self._rho_a)
-        if self._partials is None:
-            outs = _sweep(self.gen, self.path, self.gap, self._grid, joint)
-        else:
-            outs = [self.path.act(p, joint) for p in self._partials]
-        return [_reduce(self.gen, m) for m in outs]
+        return [
+            partial_trace_matrix(m, (d_s, self._rho_a.shape[0]), keep=0)
+            for m in _sweep(self.gen, _MATVEC, self.gap, self._grid, joint)
+        ]
 
 
 def _build_kernel(
@@ -579,23 +579,22 @@ def _build_kernel(
     tol: float,
     cap: int,
     end: float = 1.0,
-) -> tuple[_CycleKernel, list[np.ndarray], float, list[list]]:
+) -> tuple[_CycleKernel, list[np.ndarray], dict]:
     """Construct a cycle kernel, calibrating substeps on a probe system state.
 
     Returns the kernel, its samples of the probe (so the caller does not
-    propagate the probe again), the calibration residual and the ladder
-    as [total substeps, residual] pairs.
-    A fixed ``substeps`` is spread over the sample intervals, rounded up.
+    propagate the probe again) and its metadata: the total substeps, the
+    calibration residual and the ladder as [total substeps, residual]
+    pairs. A fixed ``substeps`` is spread over the sample intervals,
+    rounded up.
     """
     actuator = _actuator_columns(rho_a) if _path(gen) is _UNITARY else None
-    totals = {}
 
     def run(s: int) -> tuple[_CycleKernel, list[np.ndarray]]:
         kernel = _CycleKernel(gen, gap, s, parts, rho_a, actuator, end)
-        totals[s] = kernel.substeps
         return kernel, kernel.apply(probe)
 
-    (kernel, reduced), _, resid, history = _refine_doubling(
+    (kernel, reduced), accepted, resid, history = _refine_doubling(
         run,
         lambda a, b: trace_distance(a[1][-1], b[1][-1]),
         start=1 if substeps is None else max(1, -(-substeps // parts)),
@@ -603,7 +602,9 @@ def _build_kernel(
         cap=max(1, cap // parts),
         what="cycle propagation",
     )
-    return kernel, reduced, resid, [[totals[s], r] for s, r in history]
+    # the total is proportional to the substeps per piece
+    ladder = [[s * kernel.substeps // accepted, r] for s, r in history]
+    return kernel, reduced, {"substeps": kernel.substeps, "residual": resid, "ladder": ladder}
 
 
 def evolve_with_resets(
@@ -650,12 +651,10 @@ def evolve_with_resets(
         if key in kernels:
             samples = kernels[key].apply(rho_s)
         else:
-            kernel, samples, resid, ladder = _build_kernel(
+            kernels[key], samples, kernel_info[key] = _build_kernel(
                 gen, gap, samples_per_cycle, rho_s, rho_A.matrix,
                 substeps, step_tol, substep_cap,
             )
-            kernels[key] = kernel
-            kernel_info[key] = {"substeps": kernel.substeps, "residual": resid, "ladder": ladder}
         applies[key] = applies.get(key, 0) + 1
         for frac, reduced in zip(fractions, samples):
             times.append(start + frac * gap)
@@ -707,12 +706,10 @@ def intra_cycle_trajectory(
     for tau in pts:
         reduced = rho_S.matrix
         if tau > 0.0:
-            kernel, (reduced,), resid, ladder = _build_kernel(
+            _, (reduced,), info = _build_kernel(
                 gen, dt, 1, rho_S.matrix, rho_A.matrix, None, step_tol, substep_cap, tau / dt
             )
-            seg_info.append(
-                {"to": tau, "substeps": kernel.substeps, "residual": resid, "ladder": ladder}
-            )
+            seg_info.append({"to": tau, **info})
         states.append(_system_state(gen, reduced))
 
     return Trajectory(np.array(pts), states, {"segments": seg_info, "cycle_dt": dt})

@@ -203,10 +203,6 @@ class CycleGenerator:
         embedded += [np.kron(np.eye(d_s), l.matrix) for l in self.jumps_A]
         return tuple(embedded)
 
-    @cached_property
-    def jumps_coupling_full(self) -> tuple[np.ndarray, ...]:
-        return tuple(l.matrix for l in self.jumps_SA)
-
     def hamiltonian_at(self, zeta: float) -> np.ndarray:
         return self.h_free_full + self.g(zeta) * self.h_SA.matrix
 
@@ -216,7 +212,7 @@ class CycleGenerator:
 
     @cached_property
     def coupling_lindblad(self) -> "_LindbladForm":
-        return _LindbladForm.of(self.h_SA.matrix, self.jumps_coupling_full)
+        return _LindbladForm.of(self.h_SA.matrix, [l.matrix for l in self.jumps_SA])
 
     def apply_free_liouvillian(self, m: np.ndarray) -> np.ndarray:
         """(L_S + L_A) applied to a joint-space matrix."""

@@ -350,18 +350,12 @@ def dissipator_super(l: Operator) -> SuperOperator:
     return SuperOperator(s, l.space)
 
 
-def liouvillian_super(h: Operator | None, jumps: Iterable[Operator] = ()) -> SuperOperator:
+def liouvillian_super(h: Operator, jumps: Iterable[Operator]) -> SuperOperator:
     """Full Lindblad generator -i[h, .] + sum of dissipators."""
-    jumps = tuple(jumps)
-    if h is None and not jumps:
-        raise ValueError("liouvillian_super needs a Hamiltonian or jump operators")
-    space = h.space if h is not None else jumps[0].space
-    total = np.zeros((space.total_dim ** 2, space.total_dim ** 2), dtype=complex)
-    if h is not None:
-        total = total + ham_super(h).matrix
+    total = ham_super(h).matrix
     for l in jumps:
         total = total + dissipator_super(l).matrix
-    return SuperOperator(total, space)
+    return SuperOperator(total, h.space)
 
 
 def choi_matrix(s: SuperOperator) -> np.ndarray:

@@ -262,6 +262,66 @@ class TestSystemSpaceKraus:
         assert traj.metadata["kernel_applies"].keys() == traj.metadata["kernels"].keys()
 
 
+class TestDenseOpenKernel:
+    """The dense open kernel holds one reduced superoperator per sample.
+
+    Each must act on rho_S as tr_A[P_k (rho_S kron rho_A)] does, for the
+    partial products P_k of the CF4 superoperator factors up to sample k.
+    """
+
+    @staticmethod
+    def _open_oscillator(rng):
+        _, gen = dataclasses.replace(default_config().model, cutoff=8).build()
+        jump = Operator(0.3 * annihilation(8), gen.space_S)
+        return dataclasses.replace(gen, jumps_S=(jump,))
+
+    GENS = {
+        "random_qq": lambda rng: random_open_qq(rng)[0],
+        "oscillator8": _open_oscillator,
+    }
+
+    @pytest.mark.parametrize("gen_name", GENS)
+    def test_samples_match_joint_superoperator(self, rng, gen_name):
+        gen = self.GENS[gen_name](rng)
+        assert _path(gen) is _SUPEROP
+        rho_a = bloch_density((0.6, 0.0, 0.5)).matrix
+        gap, parts = 0.5, 4
+        kernel = _CycleKernel(gen, gap, 4, parts, rho_a, None)
+        d_s = gen.space_S.total_dim
+        rho_s = random_density(rng, d_s)
+        partials = _sweep(gen, _SUPEROP, gap, _substep_grid(gen.g, 0.0, 1.0, 4, parts))
+        samples = kernel.apply(rho_s)
+        assert len(samples) == len(partials) == parts
+        joint = vec(np.kron(rho_s, rho_a))
+        for got, p in zip(samples, partials):
+            ref = partial_trace_matrix(unvec(p @ joint, gen.total_dim), (d_s, 2), keep=0)
+            assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+class TestSubstepGrid:
+    """Without breakpoints the grid is uniform: centres a + h (k s + j + 1/2), width h.
+
+    On the substep counts of the doubling ladder, s = 1, 2, 4, ..., 64,
+    the points are exact for one, two or four parts of [0, 1] and for one
+    part of any [0, end]; other part counts are within 2e-16.
+    """
+
+    @pytest.mark.parametrize(
+        "parts, end, tol", [(1, 1.0, 0.0), (2, 1.0, 0.0), (4, 1.0, 0.0), (1, 0.7, 0.0),
+                            (3, 1.0, 2e-16), (4, 0.7, 2e-16)]
+    )
+    def test_uniform_without_breakpoints(self, parts, end, tol):
+        g = constant(0.8)
+        assert g.breakpoints == ()
+        for s in (2 ** n for n in range(7)):
+            centres, widths, ends = _substep_grid(g, 0.0, end, s, parts)
+            h = end / (parts * s)
+            uniform = [h * (k * s + j + 0.5) for k in range(parts) for j in range(s)]
+            assert ends == [s * (k + 1) for k in range(parts)]
+            assert np.max(np.abs(np.subtract(centres, uniform))) <= tol
+            assert np.max(np.abs(np.subtract(widths, h))) <= tol
+
+
 class TestEvolveWithResets:
     def test_single_cycle_decoupled(self, rng):
         gen, rho_a = random_closed_qq(rng, coupling_scale=0.0)
