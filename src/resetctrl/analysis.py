@@ -147,9 +147,11 @@ def induced_trace_norm(matrix: np.ndarray, dim: int, probes=None) -> float:
     """
     if probes is None:
         probes = default_probes(dim)
-    # row k of the transposed product is vec(output k); reshaped in C
-    # order it is that output's transpose, with the same singular values
-    outputs = (matrix @ np.stack([vec(p) for p in probes], axis=1)).T.reshape(-1, dim, dim)
+    # columns vec(probe k), in C order; row k of the transposed product is
+    # vec(output k), and reshaped in C order it is that output's transpose,
+    # with the same singular values
+    inputs = np.ascontiguousarray(vec(np.array(probes)).T)
+    outputs = (matrix @ inputs).T.reshape(-1, dim, dim)
     return float(np.max(np.sum(np.linalg.svd(outputs, compute_uv=False), axis=-1)))
 
 

@@ -7,8 +7,6 @@ the oscillator-qubit example; analysis experiments default to its
 two-level (qubit-qubit) reduction.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import hashlib
 import json
@@ -195,18 +193,14 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be an object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        sections = {}
-        for f in dataclasses.fields(cls):
-            if f.name in data:
-                sections[f.name] = _build_section(f.type, f.name, data[f.name])
-        return cls(**sections)
+        return cls(**{name: _build_section(types[name], name, data[name]) for name in data})
 
     def dumps(self) -> str:
-        return json.dumps(_listify(self.to_dict()), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def loads(cls, text: str) -> "ExperimentConfig":
@@ -217,19 +211,8 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(_listify(self.to_dict()), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-_SECTION_TYPES = {
-    "model": ModelSpec,
-    "states": StatesSpec,
-    "schedule": ScheduleSpec,
-    "output": OutputSpec,
-    "tolerances": TolerancesSpec,
-    "experiment": ExperimentSpec,
-    "switching": SwitchingSpec,
-}
 
 
 def _tuplify(value):
@@ -238,31 +221,28 @@ def _tuplify(value):
     return value
 
 
-def _listify(value):
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    if isinstance(value, list):
-        return [_listify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _listify(v) for k, v in value.items()}
-    return value
-
-
 def _build_section(section_cls, path: str, data):
-    if isinstance(section_cls, str):
-        section_cls = _SECTION_TYPES[path.split(".")[-1]]
+    """Build a section from its JSON object; field types come from the annotations."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    names = {f.name: f for f in dataclasses.fields(section_cls)}
-    unknown = set(data) - set(names)
+    types = {f.name: f.type for f in dataclasses.fields(section_cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        if isinstance(value, dict) and name in _SECTION_TYPES:
-            kwargs[name] = _build_section(_SECTION_TYPES[name], f"{path}.{name}", value)
-        else:
-            kwargs[name] = _tuplify(value)
+        kind = types[name]
+        if dataclasses.is_dataclass(kind):
+            kwargs[name] = _build_section(kind, f"{path}.{name}", value)
+            continue
+        # type(...) is int: a JSON true or 2.0 is no integer here
+        if kind is int and type(value) is not int:
+            raise ConfigError(f"{path}.{name}: expected an integer, got {value!r}")
+        if kind == tuple[int, ...] and not (
+            isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+        ):
+            raise ConfigError(f"{path}.{name}: expected a list of integers, got {value!r}")
+        kwargs[name] = _tuplify(value)
     try:
         return section_cls(**kwargs)
     except ConfigError:

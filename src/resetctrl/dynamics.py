@@ -32,15 +32,16 @@ Lindblad form of L_free + c L_SA with the jumps of both parts stacked
 (``_LindbladForm.plus``), so every term of its power series is one
 application of two matmuls for K and two for all jumps.
 
-Both dense paths cut a joint propagator once into the map it induces on
-the system for the reset state rho_A. The closed path stores
-system-space Kraus blocks: with rho_A = sum_k p_k |a_k><a_k|, M_jk =
-sqrt(p_k) (1 kron <j|) U (1 kron |a_k>), d_S x d_S blocks of the joint
-unitary (``_kraus``), checked once for sum M^dag M = 1; the closed
-``cycle_map`` is sum conj(M) kron M. The dense open path stores the
-d_S^2 x d_S^2 matrix of rho_S -> tr_A[P (rho_S kron rho_A)]
-(``_system_super``), which is also its ``cycle_map``. Cycle kernels
-apply these maps to the system state, so only the matrix-free path
+Both dense paths cut joint propagators into the maps they induce on
+the system for the reset state rho_A, a whole stack of partial products
+in one call. The closed path stores system-space Kraus blocks: with
+rho_A = sum_k p_k |a_k><a_k|, M_jk = sqrt(p_k) (1 kron <j|) U (1 kron
+|a_k>), d_S x d_S blocks of the joint unitary (``_kraus``), checked
+once for sum M^dag M = 1; the closed ``cycle_map`` is sum conj(M) kron
+M. The dense open path stores the d_S^2 x d_S^2 matrix of rho_S ->
+tr_A[P (rho_S kron rho_A)] (``_system_super``), which is also its
+``cycle_map``. A cycle kernel applies its stack of maps to the system
+state in one stacked product per cycle, so only the matrix-free path
 forms joint states.
 
 One state propagator, ``_CycleKernel``, serves both the reset
@@ -352,8 +353,8 @@ def _sweep(
     dt: float,
     grid: tuple[list[float], list[float], list[int]],
     joint: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Run the substep factors of ``grid`` in order; return the value at each part end.
+) -> np.ndarray:
+    """Run the substep factors of ``grid`` in order; return the values at the part ends, stacked.
 
     Without ``joint`` the dense factors are left-multiplied into partial
     products, starting from the identity; with it every matrix-free
@@ -365,14 +366,14 @@ def _sweep(
     else:
         cur, step = joint, lambda f, m: f(m)
     if dt == 0.0:
-        return [cur] * len(ends)
+        return np.array([cur] * len(ends))
     factor = path.factor
     out = []
     for k, (zeta, dzeta) in enumerate(zip(zetas, widths), start=1):
         cur = step(factor(gen, zeta, dzeta, dt), cur)
         if k in ends:
             out.append(cur)
-    return out
+    return np.array(out)
 
 
 def _system_state(gen: CycleGenerator, m: np.ndarray) -> DensityMatrix:
@@ -401,15 +402,19 @@ def _kraus(
     blocks M_jk = (1 kron <j|) U (1 kron cols_k) are d_S x d_S, and the
     map is sum_jk s_k M_jk rho M_jk^dag. Returns the blocks and the
     signed adjoints s M^dag, each stacked vertically, so that the map
-    costs two matmuls (``_kraus_apply``). Raises ValueError unless
-    sum s M^dag M is the identity to ``_KRAUS_TOL``.
+    costs two matmuls (``_kraus_apply``). A stack of unitaries in the
+    leading axes gives a stack of Kraus sets. Raises ValueError unless
+    sum s M^dag M is the identity to ``_KRAUS_TOL`` for every set.
     """
     d_a = cols.shape[0]
-    d_s = u.shape[0] // d_a
-    # axes (j, k, s, s'): blocks[j, k] = M_jk
-    blocks = (u.reshape(d_s, d_a, d_s, d_a) @ cols).transpose(1, 3, 0, 2)
-    left = blocks.reshape(-1, d_s)
-    right = (blocks.conj().swapaxes(2, 3) * signs[:, None, None]).reshape(-1, d_s)
+    lead, n = u.shape[:-2], u.ndim - 2
+    d_s = u.shape[-1] // d_a
+    # last four axes (j, k, s, s'): blocks[..., j, k, :, :] = M_jk
+    blocks = (u.reshape(lead + (d_s, d_a, d_s, d_a)) @ cols).transpose(
+        *range(n), n + 1, n + 3, n, n + 2
+    )
+    left = blocks.reshape(lead + (-1, d_s))
+    right = (blocks.conj().swapaxes(-1, -2) * signs[:, None, None]).reshape(lead + (-1, d_s))
     defect = float(np.max(np.abs(_hstack(right) @ left - np.eye(d_s))))
     if defect > _KRAUS_TOL:
         raise ValueError(
@@ -420,8 +425,14 @@ def _kraus(
 
 
 def _system_super(gen: CycleGenerator, rho_A: DensityMatrix, p: np.ndarray) -> np.ndarray:
-    """Matrix of rho_S -> tr_A[P (rho_S kron rho_A)] for a dense joint superoperator P."""
-    return _reduced_super(gen, rho_A, lambda m: unvec(p @ vec(m), m.shape[0]))
+    """Matrix of rho_S -> tr_A[P (rho_S kron rho_A)] for a dense joint superoperator P.
+
+    A stack of P gives the stack of matrices, one matvec per P and basis input.
+    """
+    d = gen.total_dim
+    return _reduced_super(
+        gen, rho_A, lambda m: unvec((p[..., None, :, :] @ vec(m)[..., None])[..., 0], d)
+    )
 
 
 def _kraus_super(kraus: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -453,10 +464,10 @@ def cycle_propagator(
 
     ``method`` selects the unitary-conjugation form ("unitary", closed
     generators only) or the superoperator product ("superop"); "auto"
-    picks by generator. A closed generator gives the same Magnus-6
-    factors either way, as the conjugation superoperator of its cycle
-    unitary; an open one takes CF4 superoperator factors. ``substeps``
-    is the count per piece of the breakpoint-aligned grid.
+    picks by generator. A closed generator always gives the conjugation
+    superoperator of its Magnus-6 cycle unitary, also with "superop";
+    an open one takes the product of CF4 superoperator factors.
+    ``substeps`` is the count per piece of the breakpoint-aligned grid.
     """
     if dt < 0 or substeps < 1:
         raise ValueError("need dt >= 0 and substeps >= 1")
@@ -523,12 +534,13 @@ class _CycleKernel:
     The cycle fractions [0, ``end``] are split into ``parts`` equal
     sample intervals, each propagated with ``substeps_per_piece``
     substeps per piece of the breakpoint-aligned grid; ``substeps`` is
-    the total. Both dense paths cut the partial product up to each
-    sample once into a map on the system: the closed path into Kraus
-    blocks (``actuator`` is ``_actuator_columns(rho_a)``), the dense
-    open path into the d_S^2 x d_S^2 matrix of rho_S -> tr_A[P (rho_S
-    kron rho_a)]. Only the matrix-free path forms joint states: it steps
-    rho_S kron rho_a through the factors on every apply.
+    the total. Both dense paths cut the partial products up to all
+    samples in one call into a stack of maps on the system: the closed
+    path into Kraus blocks (``actuator`` is ``_actuator_columns(rho_a)``),
+    the dense open path into the d_S^2 x d_S^2 matrices of rho_S ->
+    tr_A[P (rho_S kron rho_a)]. A dense ``apply`` is one stacked product
+    per cycle, not one per sample. Only the matrix-free path forms joint
+    states: it steps rho_S kron rho_a through the factors on every apply.
     """
 
     def __init__(
@@ -549,24 +561,21 @@ class _CycleKernel:
         self._rho_a = rho_a
         self._kraus = self._supers = None
         if self.path is _UNITARY:
-            self._kraus = [_kraus(u, *actuator) for u in _sweep(gen, _UNITARY, gap, self._grid)]
+            self._kraus = _kraus(_sweep(gen, _UNITARY, gap, self._grid), *actuator)
         elif self.path is _SUPEROP:
             rho = DensityMatrix(Operator(rho_a, gen.space_A), validate=False)
-            partials = _sweep(gen, _SUPEROP, gap, self._grid)
-            self._supers = [_system_super(gen, rho, p) for p in partials]
+            self._supers = _system_super(gen, rho, _sweep(gen, _SUPEROP, gap, self._grid))
 
-    def apply(self, rho_s: np.ndarray) -> list[np.ndarray]:
-        """Propagate a system state through one cycle, returning it at each sample."""
+    def apply(self, rho_s: np.ndarray) -> np.ndarray:
+        """Propagate a system state through one cycle; returns its samples, stacked."""
         if self._kraus is not None:
-            return [_kraus_apply(k, rho_s) for k in self._kraus]
+            return _kraus_apply(self._kraus, rho_s)
         d_s = rho_s.shape[0]
         if self._supers is not None:
-            return [unvec(s @ vec(rho_s), d_s) for s in self._supers]
+            return unvec(self._supers @ vec(rho_s), d_s)
         joint = np.kron(rho_s, self._rho_a)
-        return [
-            partial_trace_matrix(m, (d_s, self._rho_a.shape[0]), keep=0)
-            for m in _sweep(self.gen, _MATVEC, self.gap, self._grid, joint)
-        ]
+        joints = _sweep(self.gen, _MATVEC, self.gap, self._grid, joint)
+        return partial_trace_matrix(joints, (d_s, self._rho_a.shape[0]), keep=0)
 
 
 def _build_kernel(

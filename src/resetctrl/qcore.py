@@ -227,13 +227,15 @@ class SuperOperator:
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(matrix).reshape(-1, order="F")
+    """Column-stack a matrix, or each matrix of a stack in the last two axes, into a vector."""
+    m = np.asarray(matrix)
+    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (-1,))
 
 
 def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a square matrix of side ``dim``."""
-    return np.asarray(vector).reshape((dim, dim), order="F")
+    """Inverse of :func:`vec` for square matrices of side ``dim``, in the last axis."""
+    v = np.asarray(vector)
+    return v.reshape(v.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
 def kron(a: Operator, b: Operator) -> Operator:
@@ -242,29 +244,32 @@ def kron(a: Operator, b: Operator) -> Operator:
 
 
 def partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
-    """Trace out all subsystems except ``keep`` from a raw matrix."""
+    """Trace out all subsystems except ``keep`` from the raw matrices in the last two axes."""
     dims = tuple(dims)
     n = len(dims)
     if not 0 <= keep < n:
         raise ValueError(f"invalid subsystem index {keep} for {n} subsystems")
-    tensor = np.asarray(matrix).reshape(dims + dims)
+    m = np.asarray(matrix)
+    lead = m.ndim - 2
+    tensor = m.reshape(m.shape[:lead] + dims + dims)
     # contract every row index with its matching column index except `keep`
     for axis in reversed([i for i in range(n) if i != keep]):
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
+        row = lead + axis
+        tensor = np.trace(tensor, axis1=row, axis2=row + (tensor.ndim - lead) // 2)
     return tensor
 
 
 def _hstack(stack: np.ndarray) -> np.ndarray:
-    """[X_1; ...; X_n] (n d x d) -> [X_1 | ... | X_n] (d x n d); n may be 0."""
-    d = stack.shape[1]
-    return stack.reshape(-1, d, d).swapaxes(0, 1).reshape(d, len(stack))
+    """[X_1; ...; X_n] (n d x d) -> [X_1 | ... | X_n] (d x n d) in the last axes; n may be 0."""
+    lead, (rows, d) = stack.shape[:-2], stack.shape[-2:]
+    return stack.reshape(lead + (-1, d, d)).swapaxes(-3, -2).reshape(lead + (d, rows))
 
 
 def _kraus_apply(kraus: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.ndarray:
     """sum_j A_j rho B_j for the stacks ``kraus`` = ([A_1; ...; A_n], [B_1; ...; B_n]).
 
     Two matmuls whatever n: the blocks of [A_j rho] are laid side by
-    side and multiplied into the stack of the B_j.
+    side and multiplied into the stack of the B_j. Leading axes broadcast.
     """
     left, right = kraus
     return _hstack(left @ rho) @ right

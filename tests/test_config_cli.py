@@ -59,6 +59,15 @@ class TestConfigRoundTrip:
         reordered = {k: data[k] for k in reversed(list(data))}
         assert ExperimentConfig.from_dict(reordered).config_hash() == cfg.config_hash()
 
+    def test_default_hashes_are_pinned(self):
+        # the canonical JSON, and so the hash, of both default configs
+        assert default_config().config_hash() == (
+            "6d7df08eac429fb33813363283f66060b649190961baa1f1fcad63ae7720d684"
+        )
+        assert qubit_defaults().config_hash() == (
+            "306cb038ba53668e4205cfc95a554537c43ae9d707b2be80e83b3c87efde1132"
+        )
+
     def test_matrix_states_round_trip(self):
         cfg = ExperimentConfig(
             model=ModelSpec(kind="qubit_qubit", cutoff=2),
@@ -261,6 +270,28 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / f"{kind}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, section, field",
+        [
+            ("chernoff", {"experiment": {"chernoff_ns": [16, 32.0, 64]}},
+             "experiment.chernoff_ns"),
+            ("chernoff", {"experiment": {"chernoff_ns": 32.5}}, "experiment.chernoff_ns"),
+            ("simulate", {"schedule": {"samples_per_cycle": 2.0}}, "schedule.samples_per_cycle"),
+            ("simulate", {"model": {"cutoff": "30"}}, "model.cutoff"),
+            ("simulate", {"states": {"fock_index": 1.0}}, "states.fock_index"),
+            ("simulate", {"model": {"switching": "sin_squared"}}, "model.switching"),
+        ],
+    )
+    def test_malformed_field_exits_one_naming_it(self, tmp_path, capsys, kind, section, field):
+        data = json.loads(qubit_defaults().dumps())
+        for key, value in section.items():
+            data[key].update(value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main([kind, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
         assert not (tmp_path / f"{kind}.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):

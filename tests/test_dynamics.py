@@ -18,6 +18,7 @@ from resetctrl.dynamics import (
     _path,
     _substep_grid,
     _sweep,
+    _system_super,
     Trajectory,
     cycle_map,
     cycle_propagator,
@@ -40,6 +41,7 @@ from resetctrl.qcore import (
     HilbertSpace,
     Operator,
     SuperOperator,
+    _kraus_apply,
     choi_matrix,
     expm_hermitian,
     is_cptp,
@@ -296,6 +298,69 @@ class TestDenseOpenKernel:
         for got, p in zip(samples, partials):
             ref = partial_trace_matrix(unvec(p @ joint, gen.total_dim), (d_s, 2), keep=0)
             assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def _reduced_super_loop(gen, rho_a, apply_full):
+    """Reference reduction: one np.kron joint input and one apply per basis element."""
+    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
+    cols = np.empty((d_s * d_s, d_s * d_s), dtype=complex)
+    for idx in range(d_s * d_s):
+        e = np.zeros((d_s, d_s), dtype=complex)
+        e[idx % d_s, idx // d_s] = 1.0
+        joint = np.kron(e, rho_a.matrix)
+        cols[:, idx] = vec(partial_trace_matrix(apply_full(joint), (d_s, d_a), keep=0))
+    return cols
+
+
+class TestStackedSystemMaps:
+    """Stacked cuts and applies equal their per-basis and per-sample forms exactly."""
+
+    GENS = {
+        "qubit": lambda rng: random_open_qq(rng)[0],
+        "oscillator8": TestDenseOpenKernel._open_oscillator,
+    }
+    RHO_A = (0.6, 0.0, 0.5)
+
+    @pytest.mark.parametrize("gen_name", GENS)
+    @pytest.mark.parametrize("form", ["coupling", "second_order", "superop"])
+    def test_reduced_super_matches_basis_loop(self, rng, gen_name, form):
+        gen, rho_a = self.GENS[gen_name](rng), bloch_density(self.RHO_A)
+        l0, l1 = gen.apply_free_liouvillian, gen.apply_coupling_liouvillian
+        if form == "superop":
+            p = cycle_propagator(gen, 0.5, 2).matrix
+            got = _system_super(gen, rho_a, p)
+            apply_full = lambda m: unvec(p @ vec(m), gen.total_dim)
+        else:
+            apply_full = l1 if form == "coupling" else (lambda m: 0.3 * l0(l1(m)) + l1(l1(m)))
+            got = _reduced_super(gen, rho_a, apply_full)
+        assert np.array_equal(got, _reduced_super_loop(gen, rho_a, apply_full))
+
+    def test_closed_kernel_apply_matches_per_sample_kraus(self, rng):
+        _, gen = dataclasses.replace(default_config().model, cutoff=8).build()
+        assert gen.is_closed
+        rho_a = bloch_density(self.RHO_A).matrix
+        actuator = _actuator_columns(rho_a)
+        kernel = _CycleKernel(gen, 0.5, 2, 4, rho_a, actuator)
+        rho_s = random_density(rng, 8)
+        partials = _sweep(gen, _path(gen), 0.5, _substep_grid(gen.g, 0.0, 1.0, 2, 4))
+        got = kernel.apply(rho_s)
+        assert got.shape == (4, 8, 8)
+        for sample, u in zip(got, partials):
+            assert np.array_equal(sample, _kraus_apply(_kraus(u, *actuator), rho_s))
+
+    @pytest.mark.parametrize("gen_name", GENS)
+    def test_dense_open_kernel_apply_matches_per_sample_supers(self, rng, gen_name):
+        gen, rho_a = self.GENS[gen_name](rng), bloch_density(self.RHO_A)
+        assert _path(gen) is _SUPEROP
+        kernel = _CycleKernel(gen, 0.5, 2, 4, rho_a.matrix, None)
+        d_s = gen.space_S.total_dim
+        rho_s = random_density(rng, d_s)
+        partials = _sweep(gen, _SUPEROP, 0.5, _substep_grid(gen.g, 0.0, 1.0, 2, 4))
+        got = kernel.apply(rho_s)
+        assert got.shape == (4, d_s, d_s)
+        for sample, p in zip(got, partials):
+            ref = unvec(_system_super(gen, rho_a, p) @ vec(rho_s), d_s)
+            assert np.array_equal(sample, ref)
 
 
 class TestSubstepGrid:

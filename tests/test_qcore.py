@@ -8,6 +8,7 @@ from resetctrl.qcore import (
     NumericalRangeError,
     Operator,
     SuperOperator,
+    _hstack,
     choi_matrix,
     dissipator_super,
     expm_hermitian,
@@ -403,3 +404,47 @@ def test_partial_trace_matrix_choi_marginal(rng):
     s = SuperOperator(mat_exp(ham_super(op(h)).matrix), HilbertSpace((2,)))
     reduced = partial_trace_matrix(choi_matrix(s), (2, 2), keep=0)
     np.testing.assert_allclose(reduced, I2, atol=1e-10)
+
+
+def _random_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestStacks:
+    """vec, unvec, _hstack and partial_trace_matrix act on the last two axes
+    of a stack exactly as on each matrix of it."""
+
+    def test_vec_unvec(self, rng):
+        stack = _random_stack(rng, (3, 4, 5, 5))
+        vecs = vec(stack)
+        assert vecs.shape == (3, 4, 25)
+        back = unvec(vecs, 5)
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(vecs[i, j], vec(stack[i, j]))
+                assert np.array_equal(back[i, j], unvec(vecs[i, j], 5))
+        assert np.array_equal(back, stack)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_hstack(self, rng, n):
+        stack = _random_stack(rng, (2, 4, n * 3, 3))
+        out = _hstack(stack)
+        assert out.shape == (2, 4, 3, n * 3)
+        for i in range(2):
+            for j in range(4):
+                assert np.array_equal(out[i, j], _hstack(stack[i, j]))
+
+    def test_hstack_lays_blocks_side_by_side(self, rng):
+        a, b = _random_stack(rng, (2, 3, 3))
+        assert np.array_equal(_hstack(np.vstack([a, b])), np.hstack([a, b]))
+
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 5), (2, 3, 2)])
+    def test_partial_trace_matrix(self, rng, dims):
+        d = int(np.prod(dims))
+        stack = _random_stack(rng, (2, 3, d, d))
+        for keep in range(len(dims)):
+            out = partial_trace_matrix(stack, dims, keep)
+            assert out.shape == (2, 3, dims[keep], dims[keep])
+            for i in range(2):
+                for j in range(3):
+                    assert np.array_equal(out[i, j], partial_trace_matrix(stack[i, j], dims, keep))
