@@ -28,9 +28,12 @@ closed generator propagates the joint unitary; an open one with joint
 dimension up to ``SUPEROP_PATH_MAX_DIM`` the dense superoperator; a
 larger open one steps the joint state with matrix-free exponentials and
 never materializes a superoperator. Each CF4 exponent there is one fused
-Lindblad form of L_free + c L_SA with the jumps of both parts stacked
-(``_LindbladForm.plus``), so every term of its power series is one
-application of two matmuls for K and two for all jumps.
+Lindblad form of L_free + c L_SA (``_LindbladForm.plus``), so every term
+of its power series is one application: two matmuls for K, two for all
+system and coupling jumps (none when there are none), and one small
+matmul for all actuator jumps, which act on the actuator index pair of
+the joint state through the d_A^2 x d_A^2 superoperator
+sum l kron conj(l) and are never embedded in the joint space.
 
 Both dense paths cut joint propagators into the maps they induce on
 the system for the reset state rho_A, a whole stack of partial products
@@ -61,7 +64,9 @@ the calibrating state by trace distance. Kernel and segment metadata
 record that ladder as ``[[substeps, residual], ...]``, one entry per
 level compared with the one before, so the ratio of successive
 residuals shows the empirical order (about 2^6 = 64 on the closed path,
-2^4 = 16 on the open ones).
+2^4 = 16 on the open ones). A ladder that reaches its cap raises
+ConvergenceError with its levels in ``ladder``, counted in substeps per
+piece of the grid.
 """
 
 from __future__ import annotations
@@ -314,7 +319,7 @@ def _expmv(
                 break
         else:
             raise ConvergenceError(
-                "substep exponential series stalled", float(np.linalg.norm(term)), 60
+                "substep exponential series stalled", float(np.linalg.norm(term)), 60, []
             )
         rho = acc
     return rho

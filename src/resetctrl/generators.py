@@ -12,6 +12,7 @@ short-cycle expansion of the reduced dynamical map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -196,19 +197,18 @@ class CycleGenerator:
             rows.append((0.5 * (b + b.conj().T)).ravel())
         return np.ascontiguousarray(rows).view(float)
 
-    @cached_property
-    def jumps_free_full(self) -> tuple[np.ndarray, ...]:
-        d_s, d_a = self.space_S.total_dim, self.space_A.total_dim
-        embedded = [np.kron(l.matrix, np.eye(d_a)) for l in self.jumps_S]
-        embedded += [np.kron(np.eye(d_s), l.matrix) for l in self.jumps_A]
-        return tuple(embedded)
-
     def hamiltonian_at(self, zeta: float) -> np.ndarray:
         return self.h_free_full + self.g(zeta) * self.h_SA.matrix
 
     @cached_property
     def free_lindblad(self) -> "_LindbladForm":
-        return _LindbladForm.of(self.h_free_full, self.jumps_free_full)
+        """Form of L_S + L_A, with the actuator jumps kept on the actuator factor."""
+        d_a = self.space_A.total_dim
+        return _LindbladForm.factored(
+            self.h_free_full,
+            [np.kron(l.matrix, np.eye(d_a)) for l in self.jumps_S],
+            [l.matrix for l in self.jumps_A],
+        )
 
     @cached_property
     def coupling_lindblad(self) -> "_LindbladForm":
@@ -225,9 +225,11 @@ class CycleGenerator:
     @cached_property
     def free_super(self) -> SuperOperator:
         """Matrix form of L_S + L_A on the joint space (small dimensions)."""
+        d_s, d_a = self.space_S.total_dim, self.space_A.total_dim
+        embedded = [np.kron(l.matrix, np.eye(d_a)) for l in self.jumps_S]
+        embedded += [np.kron(np.eye(d_s), l.matrix) for l in self.jumps_A]
         h = Operator(self.h_free_full, self.space)
-        jumps = tuple(Operator(l, self.space) for l in self.jumps_free_full)
-        return liouvillian_super(h, jumps)
+        return liouvillian_super(h, tuple(Operator(l, self.space) for l in embedded))
 
     @cached_property
     def coupling_super(self) -> SuperOperator:
@@ -252,18 +254,27 @@ class CycleGenerator:
 class _LindbladForm:
     """A Lindbladian L m = K m + m K^dag + sum_j s_j L_j m L_j^dag, precomputed.
 
-    K = -i H - (1/2) sum_j s_j L_j^dag L_j with real weights s_j. The
-    jumps are stacked, ``left`` = [L_1; ...; L_n] and ``right`` =
-    [s_1 L_1^dag; ...; s_n L_n^dag] (n d x d each), so the jump sum costs
-    two matmuls (``qcore._kraus_apply``) whatever n. ``of`` builds a form
-    with unit weights; ``plus`` adds a real multiple of another form,
-    which scales that form's weights, so it is exact for either sign.
+    K = -i H - (1/2) sum_j s_j L_j^dag L_j with real weights s_j, on the
+    joint space of side d = d_S d_A. Joint jumps are stacked, ``left`` =
+    [L_1; ...; L_n] and ``right`` = [s_1 L_1^dag; ...; s_n L_n^dag]
+    (n d x d each), so their sum costs two matmuls
+    (``qcore._kraus_apply``) whatever n, and none when n = 0. Jumps
+    1 kron l_a of the actuator are kept as the d_A^2 x d_A^2
+    superoperator ``t`` = sum_a s_a l_a kron conj(l_a), which acts on
+    the actuator index pair (a, b) of m viewed as (d_S, d_A, d_S, d_A):
+    one matmul with d_S^2 columns instead of two joint-size ones per
+    jump stack; K still holds their L^dag L terms. ``of`` builds a form
+    with unit weights and joint jumps, ``factored`` one with actuator
+    jumps; ``plus`` adds a real multiple of another form, which scales
+    that form's weights, so it is exact for either sign. ``apply``
+    takes a stack of matrices in the leading axes.
     """
 
     k: np.ndarray
     k_dag: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    t: np.ndarray | None = None
 
     @classmethod
     def of(cls, h: np.ndarray, jumps: Sequence[np.ndarray]) -> "_LindbladForm":
@@ -273,37 +284,79 @@ class _LindbladForm:
         k = -1j * h - 0.5 * (_hstack(right) @ left)
         return cls(k, k.conj().T, left, right)
 
+    @classmethod
+    def factored(cls, h: np.ndarray, jumps: Sequence[np.ndarray],
+                 jumps_a: Sequence[np.ndarray]) -> "_LindbladForm":
+        """The form ``of(h, jumps + [1 kron l for l in jumps_a])``, with ``jumps_a`` kept as ``t``.
+
+        ``jumps`` act on the joint space, ``jumps_a`` on the actuator
+        factor. K is that of the embedded form, bit for bit.
+        """
+        if not jumps_a:
+            return cls.of(h, jumps)
+        d, d_a = h.shape[0], jumps_a[0].shape[0]
+        full = cls.of(h, [*jumps, *(np.kron(np.eye(d // d_a), l) for l in jumps_a)])
+        rows = len(jumps) * d
+        t = sum(np.kron(l, l.conj()) for l in jumps_a)
+        return cls(full.k, full.k_dag, full.left[:rows].copy(), full.right[:rows].copy(), t)
+
     def plus(self, c: float, other: "_LindbladForm") -> "_LindbladForm":
         """The form of L + c L' for L' = ``other`` and real c."""
         k = self.k + c * other.k
+        t = self.t
+        if other.t is not None:
+            t = c * other.t if t is None else t + c * other.t
         return _LindbladForm(
             k,
             k.conj().T,
             np.concatenate((self.left, other.left)),
             np.concatenate((self.right, c * other.right)),
+            t,
         )
 
     @cached_property
     def norm_bound(self) -> float:
         """Upper bound on ||L m|| / ||m|| (Frobenius norm) over all m.
 
-        Holds for non-negative weights s_j, as in every form ``of``
-        builds. 2 ||K'||_2 bounds K m + m K^dag, with K' = K + i tr(H)/d,
-        which gives the same L. The jump part J is then completely
-        positive, so ||J|| <= (||J(I)|| ||J^dag(I)||)^(1/2), which does
-        not depend on how the dissipator is split into jump operators.
+        Holds for non-negative weights s_j, as in every form ``of`` and
+        ``factored`` build. 2 ||K'||_2 bounds K m + m K^dag, with
+        K' = K + i tr(H)/d, which gives the same L. The jump part J is
+        then completely positive, so ||J|| <= (||J(I)|| ||J^dag(I)||)^(1/2),
+        which does not depend on how the dissipator is split into jump
+        operators. The actuator jumps add 1 kron sum_a s_a l_a l_a^dag to
+        J(I) and 1 kron sum_a s_a l_a^dag l_a to J^dag(I).
         """
         d = self.k.shape[0]
         bound = 2.0 * np.linalg.norm(self.k - 1j * np.trace(self.k).imag / d * np.eye(d), 2)
         out = _hstack(self.left) @ self.right
         into = _hstack(self.right) @ self.left
+        if self.t is not None:
+            d_a = math.isqrt(self.t.shape[0])
+            eye_s, eye_a = np.eye(d // d_a), np.eye(d_a).ravel()
+            # t and t^dag applied to the row-major vec of the identity
+            out = out + np.kron(eye_s, (self.t @ eye_a).reshape(d_a, d_a))
+            into = into + np.kron(eye_s, (self.t.conj().T @ eye_a).reshape(d_a, d_a))
         bound += np.sqrt(np.linalg.norm(out, 2) * np.linalg.norm(into, 2))
         return float(bound)
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         out = self.k @ m
         out += m @ self.k_dag
-        out += _kraus_apply((self.left, self.right), m)
+        if len(self.left):
+            out += _kraus_apply((self.left, self.right), m)
+        if self.t is not None:
+            lead, n = m.shape[:-2], m.ndim - 2
+            d_a = math.isqrt(self.t.shape[0])
+            d_s = m.shape[-1] // d_a
+            split = lead + (d_s, d_a, d_s, d_a)
+            # (..., s, a, s', b) -> (..., a b, s s') for t to act from the
+            # left: a long last axis keeps both copies fast
+            pairs = m.reshape(split).transpose(*range(n), n + 1, n + 3, n, n + 2)
+            pairs = self.t @ pairs.reshape(lead + (d_a * d_a, d_s * d_s))
+            view = out.reshape(split)
+            view += pairs.reshape(lead + (d_a, d_a, d_s, d_s)).transpose(
+                *range(n), n + 2, n, n + 3, n + 1
+            )
         return out
 
 

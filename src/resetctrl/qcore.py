@@ -36,10 +36,20 @@ class NumericalRangeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative refinement hit its cap before reaching tolerance."""
+    """An iterative refinement hit its cap before reaching tolerance.
 
-    def __init__(self, message: str, residual: float, steps: int):
-        super().__init__(f"{message} (residual {residual:.3e} after {steps} steps)")
+    ``ladder`` holds the levels tried, as [[steps, residual], ...] (empty
+    for a refinement without levels); the message lists them too.
+    """
+
+    def __init__(self, message: str, residual: float, steps: int,
+                 ladder: Sequence[tuple[int, float]]):
+        self.ladder = [[int(s), float(r)] for s, r in ladder]
+        tried = ", ".join(f"[{s}, {r:.3e}]" for s, r in self.ladder)
+        super().__init__(
+            f"{message} (residual {residual:.3e} after {steps} steps"
+            + (f"; ladder [{tried}])" if tried else ")")
+        )
         self.residual = residual
         self.steps = steps
 

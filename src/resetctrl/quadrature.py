@@ -56,7 +56,8 @@ def _refine_doubling(
     (resolution, residual) pair per level compared with the one before,
     ending with the accepted level. No resolution above ``cap`` is run.
     ``tol=None`` fixes the resolution: ``run(start)`` is accepted as is,
-    with residual 0 and an empty history.
+    with residual 0 and an empty history. A ladder that reaches the cap
+    raises ConvergenceError carrying its history (``ladder``).
     """
     if tol is None:
         return run(start), start, 0.0, []
@@ -73,7 +74,7 @@ def _refine_doubling(
             if resid < tol:
                 return cur, s, resid, history
             prev = cur
-    raise ConvergenceError(f"{what} did not converge by cap {cap}", resid, s)
+    raise ConvergenceError(f"{what} did not converge by cap {cap}", resid, s, history)
 
 
 def integrate_scalar(

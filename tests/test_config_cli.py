@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,21 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(cfg.dumps())
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_non_convergence_prints_the_ladder(self, tmp_path, capsys):
+        cfg = dataclasses.replace(
+            qubit_defaults(),
+            schedule=ScheduleSpec(f_list=(5.0,), total_time=0.4, samples_per_cycle=1),
+            tolerances=TolerancesSpec(step_tol=1e-16),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical non-convergence: cycle propagation")
+        # every level of the ladder up to the cap 2^14
+        tried = re.findall(r"\[(\d+), [0-9.e+-]+\]", err.split("ladder", 1)[1])
+        assert [int(s) for s in tried] == [2 ** k for k in range(1, 15)]
 
     def test_cutoff_flag_exit_code(self, tmp_path):
         # cutoff 13 passes the coherent tail check but trips the

@@ -26,6 +26,7 @@ from resetctrl.dynamics import (
     evolve_with_resets,
     intra_cycle_trajectory,
 )
+from resetctrl import generators
 from resetctrl.generators import (
     _reduced_super,
     constant,
@@ -583,6 +584,23 @@ class TestLadderMetadata:
         assert info == {"substeps": 8, "residual": 0.0, "ladder": []}
 
 
+class TestFailedLadder:
+    """A ladder that reaches its cap raises with the levels it tried."""
+
+    def test_error_carries_the_ladder(self):
+        gen, rho_a = generic_qq()
+        rho0 = DensityMatrix.pure(np.array([1.0, 0.0]), (2,))
+        with pytest.raises(ConvergenceError) as err:
+            evolve_with_resets(
+                gen, rho0, rho_a, ResetSchedule((2.0,)), step_tol=1e-15, substep_cap=4
+            )
+        ladder = err.value.ladder
+        assert [s for s, _ in ladder] == [2, 4]
+        assert all(r > 0 for _, r in ladder)
+        assert ladder[-1][1] == err.value.residual
+        assert f"ladder [[2, {ladder[0][1]:.3e}], [4, {ladder[1][1]:.3e}]]" in str(err.value)
+
+
 class TestClosedAgainstExactSolutions:
     def test_square_pulse_is_product_of_two_exponentials(self, rng):
         gen, _ = random_closed_qq(rng)
@@ -912,6 +930,37 @@ class TestMatvecFactorsWithCouplingJumps:
         (matvec,) = _sweep(gen, _MATVEC, dt, grid, joint)
         (dense,) = _sweep(gen, _SUPEROP, dt, grid)
         assert np.max(np.abs(matvec - unvec(dense @ vec(joint), 4))) <= 1e-11
+
+
+class TestMatvecWithFactoredResetJumps:
+    """The matrix-free path with reset jumps applied on the actuator factor."""
+
+    def test_sweep_matches_dense_product(self, rng):
+        # cutoff 4: joint dimension 8, where the dense product is cheap
+        _, gen = dataclasses.replace(default_config().model, cutoff=4).build()
+        rho_a = bloch_density((0.6, 0.0, 0.5))
+        gen = dataclasses.replace(gen, jumps_A=reset_jumps(rho_a, 2.0))
+        assert gen.total_dim == 8 and gen.free_lindblad.t is not None
+        grid = _substep_grid(gen.g, 0.0, 1.0, 4, 2)
+        joint = np.kron(random_density(rng, 4), rho_a.matrix)
+        matvec = _sweep(gen, _MATVEC, 0.8, grid, joint)
+        dense = _sweep(gen, _SUPEROP, 0.8, grid)
+        assert np.max(np.abs(matvec - unvec(dense @ vec(joint), 8))) <= 1e-12
+
+    def test_application_count_is_pinned(self, monkeypatch):
+        # the count before the actuator jumps were factored out: the
+        # norm bound, and so the pieces and terms, did not move
+        gen, rho_a, rho0 = _open_matvec_model()
+        gen = dataclasses.replace(gen, jumps_A=reset_jumps(rho_a, 1.0))
+        calls = []
+        apply = generators._LindbladForm.apply
+        monkeypatch.setattr(
+            generators._LindbladForm, "apply", lambda form, m: calls.append(1) or apply(form, m)
+        )
+        traj = evolve_with_resets(gen, rho0, rho_a, ResetSchedule.uniform(2, 0.6), step_tol=1e-8)
+        assert traj.metadata["path"] == "matvec"
+        assert traj.metadata["kernels"]["0.3"]["substeps"] == 32
+        assert len(calls) == 1394
 
 
 class TestMatvecSeriesUnderStrongReset:

@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from resetctrl.analysis import reset_jumps
+from resetctrl.config import default_config
 
 from resetctrl.generators import (
     CycleGenerator,
@@ -20,6 +25,7 @@ from resetctrl.models import (
     OscillatorQubitModel,
     SIGMA_X,
     SIGMA_Z,
+    annihilation,
     build_oscillator_qubit,
     number_operator,
     quadrature_x,
@@ -161,6 +167,82 @@ class TestFusedLindbladForm:
             tol = 1e-12 * np.linalg.norm(m)
             assert np.max(np.abs(fused.apply(m) - two_calls)) <= tol
             assert np.max(np.abs(fused.apply(m) - dense)) <= tol
+
+
+def _embedded_free_form(gen):
+    """The form of L_S + L_A with every jump embedded in the joint space, 1 kron l."""
+    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
+    jumps = [np.kron(l.matrix, np.eye(d_a)) for l in gen.jumps_S]
+    jumps += [np.kron(np.eye(d_s), l.matrix) for l in gen.jumps_A]
+    return _LindbladForm.of(gen.h_free_full, jumps)
+
+
+def _oscillator6_with_jumps(rng):
+    """Cutoff-6 oscillator with reset jumps on the actuator, a system and a coupling jump."""
+    _, gen = dataclasses.replace(default_config().model, cutoff=6).build()
+    rho_a = bloch_density((0.6, 0.0, 0.5))
+    return dataclasses.replace(
+        gen,
+        jumps_S=(Operator(0.3 * annihilation(6), gen.space_S),),
+        jumps_A=reset_jumps(rho_a, 1.5),
+        jumps_SA=(Operator(random_matrix(rng, 12, 0.2), gen.space),),
+    )
+
+
+class TestFactoredActuatorJumps:
+    """Actuator jumps kept on the actuator factor against their joint embedding.
+
+    The reference is ``_LindbladForm.of`` with every actuator jump
+    embedded as 1 kron l, as the form was built before the factoring.
+    """
+
+    MODELS = {
+        "random_open_qq": lambda rng: random_open_qq(rng)[0],
+        "oscillator6": _oscillator6_with_jumps,
+    }
+
+    @staticmethod
+    def _inputs(rng, gen):
+        d_s, d = gen.space_S.total_dim, gen.total_dim
+        stack = np.array([random_matrix(rng, d) for _ in range(d_s * d_s)])
+        return random_matrix(rng, d), stack
+
+    @staticmethod
+    def _assert_same(form, ref, m):
+        assert np.max(np.abs(form.apply(m) - ref.apply(m))) <= 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_free_form_matches_embedded(self, model, rng):
+        gen = self.MODELS[model](rng)
+        form, ref = gen.free_lindblad, _embedded_free_form(gen)
+        assert form.t is not None and len(form.left) == len(gen.jumps_S) * gen.total_dim
+        assert np.array_equal(form.k, ref.k)
+        assert form.norm_bound == pytest.approx(ref.norm_bound, rel=1e-12)
+        for m in self._inputs(rng, gen):
+            self._assert_same(form, ref, m)
+
+    @pytest.mark.parametrize("c", [-0.7, 0.0, 0.3, 2.1])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_plus_matches_embedded(self, model, c, rng):
+        gen = self.MODELS[model](rng)
+        free, ref, coupling = gen.free_lindblad, _embedded_free_form(gen), gen.coupling_lindblad
+        # the actuator part on the left, on the right and on both sides
+        for form, oracle in (
+            (free.plus(c, coupling), ref.plus(c, coupling)),
+            (coupling.plus(c, free), coupling.plus(c, ref)),
+            (free.plus(c, free), ref.plus(c, ref)),
+        ):
+            assert np.array_equal(form.k, oracle.k)
+            assert form.norm_bound == pytest.approx(oracle.norm_bound, rel=1e-12)
+            for m in self._inputs(rng, gen):
+                self._assert_same(form, oracle, m)
+
+    def test_jump_free_form_has_no_actuator_part(self, rng):
+        gen, _ = random_closed_qq(rng)
+        form = gen.free_lindblad
+        assert form.t is None and not len(form.left)
+        m = random_matrix(rng, 4)
+        assert np.array_equal(form.apply(m), form.k @ m + m @ form.k_dag)
 
 
 class TestEffectiveHamiltonian:
