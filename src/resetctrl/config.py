@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,6 +222,25 @@ def _tuplify(value):
     return value
 
 
+def _fits(kind, value) -> bool:
+    """Whether a JSON value fits a field annotation: int, float, str, tuples of those, | None."""
+    origin = typing.get_origin(kind)
+    if kind is tuple or origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        args = typing.get_args(kind)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        return not args or (len(args) == len(value) and all(map(_fits, args, value)))
+    if origin is not None:  # a union: X | None
+        return any(_fits(k, value) for k in typing.get_args(kind))
+    # by type, not isinstance: a JSON true is no number, and 2.0 no integer;
+    # Python's json reads NaN and Infinity, which no field takes
+    if kind is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is kind
+
+
 def _build_section(section_cls, path: str, data):
     """Build a section from its JSON object; field types come from the annotations."""
     if not isinstance(data, dict):
@@ -235,13 +255,9 @@ def _build_section(section_cls, path: str, data):
         if dataclasses.is_dataclass(kind):
             kwargs[name] = _build_section(kind, f"{path}.{name}", value)
             continue
-        # type(...) is int: a JSON true or 2.0 is no integer here
-        if kind is int and type(value) is not int:
-            raise ConfigError(f"{path}.{name}: expected an integer, got {value!r}")
-        if kind == tuple[int, ...] and not (
-            isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
-        ):
-            raise ConfigError(f"{path}.{name}: expected a list of integers, got {value!r}")
+        if not _fits(kind, value):
+            shown = kind.__name__ if isinstance(kind, type) else kind
+            raise ConfigError(f"{path}.{name}: expected {shown}, got {value!r}")
         kwargs[name] = _tuplify(value)
     try:
         return section_cls(**kwargs)

@@ -445,6 +445,7 @@ def _kraus_super(kraus: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     left, right = kraus
     d = left.shape[1]
     # conj(s M) = (s M^dag)^T
+    # not qcore._super_matrix: 0.5 vs 3.1 ms at d_S = 13, 25 vs 87 ms at d_S = 30 (2 cores)
     terms = np.einsum("iba,icd->acbd", right.reshape(-1, d, d), left.reshape(-1, d, d))
     return terms.reshape(d * d, d * d)
 
@@ -462,23 +463,17 @@ def cycle_unitary(gen: CycleGenerator, dt: float, substeps: int) -> np.ndarray:
     return _sweep(gen, _UNITARY, dt, _substep_grid(gen.g, 0.0, 1.0, substeps))[-1]
 
 
-def cycle_propagator(
-    gen: CycleGenerator, dt: float, substeps: int, method: str = "auto"
-) -> SuperOperator:
+def cycle_propagator(gen: CycleGenerator, dt: float, substeps: int) -> SuperOperator:
     """Time-ordered intra-cycle propagator on the joint space.
 
-    ``method`` selects the unitary-conjugation form ("unitary", closed
-    generators only) or the superoperator product ("superop"); "auto"
-    picks by generator. A closed generator always gives the conjugation
-    superoperator of its Magnus-6 cycle unitary, also with "superop";
-    an open one takes the product of CF4 superoperator factors.
-    ``substeps`` is the count per piece of the breakpoint-aligned grid.
+    A closed generator gives the conjugation superoperator of its
+    Magnus-6 cycle unitary, an open one the product of CF4 superoperator
+    factors. ``substeps`` is the count per piece of the breakpoint-aligned
+    grid.
     """
     if dt < 0 or substeps < 1:
         raise ValueError("need dt >= 0 and substeps >= 1")
-    if method not in ("auto", "unitary", "superop"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "unitary" or _path(gen) is _UNITARY:
+    if _path(gen) is _UNITARY:
         u = cycle_unitary(gen, dt, substeps)
         return SuperOperator(np.kron(u.conj(), u), gen.space)
     p = _sweep(gen, _SUPEROP, dt, _substep_grid(gen.g, 0.0, 1.0, substeps))[-1]
@@ -513,7 +508,7 @@ def cycle_map(
     if path is _UNITARY:
         build = lambda s: cycle_unitary(gen, dt, s)
     else:
-        build = lambda s: cycle_propagator(gen, dt, s, method="superop").matrix
+        build = lambda s: cycle_propagator(gen, dt, s).matrix
     prop, *_ = _refine_doubling(
         build,
         lambda a, b: float(np.max(np.abs(a - b))),

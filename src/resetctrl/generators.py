@@ -28,9 +28,8 @@ from .qcore import (
     SuperOperator,
     _hstack,
     _kraus_apply,
-    liouvillian_super,
+    _super_matrix,
     partial_trace_matrix,
-    vec,
 )
 
 _GMAX_SAMPLES = 10 ** 4
@@ -204,7 +203,7 @@ class CycleGenerator:
     def free_lindblad(self) -> "_LindbladForm":
         """Form of L_S + L_A, with the actuator jumps kept on the actuator factor."""
         d_a = self.space_A.total_dim
-        return _LindbladForm.factored(
+        return _LindbladForm.of(
             self.h_free_full,
             [np.kron(l.matrix, np.eye(d_a)) for l in self.jumps_S],
             [l.matrix for l in self.jumps_A],
@@ -224,17 +223,14 @@ class CycleGenerator:
 
     @cached_property
     def free_super(self) -> SuperOperator:
-        """Matrix form of L_S + L_A on the joint space (small dimensions)."""
-        d_s, d_a = self.space_S.total_dim, self.space_A.total_dim
-        embedded = [np.kron(l.matrix, np.eye(d_a)) for l in self.jumps_S]
-        embedded += [np.kron(np.eye(d_s), l.matrix) for l in self.jumps_A]
-        h = Operator(self.h_free_full, self.space)
-        return liouvillian_super(h, tuple(Operator(l, self.space) for l in embedded))
+        """Matrix form of L_S + L_A on the joint space, read off ``free_lindblad``."""
+        return SuperOperator(_super_matrix(self.free_lindblad.apply, self.total_dim), self.space)
 
     @cached_property
     def coupling_super(self) -> SuperOperator:
-        """Matrix form of L_SA on the joint space (small dimensions)."""
-        return liouvillian_super(self.h_SA, self.jumps_SA)
+        """Matrix form of L_SA on the joint space, read off ``coupling_lindblad``."""
+        d = self.total_dim
+        return SuperOperator(_super_matrix(self.coupling_lindblad.apply, d), self.space)
 
     def validity_report(self) -> list[str]:
         """Warnings about physically questionable configurations."""
@@ -264,10 +260,11 @@ class _LindbladForm:
     the actuator index pair (a, b) of m viewed as (d_S, d_A, d_S, d_A):
     one matmul with d_S^2 columns instead of two joint-size ones per
     jump stack; K still holds their L^dag L terms. ``of`` builds a form
-    with unit weights and joint jumps, ``factored`` one with actuator
-    jumps; ``plus`` adds a real multiple of another form, which scales
-    that form's weights, so it is exact for either sign. ``apply``
-    takes a stack of matrices in the leading axes.
+    with unit weights from joint ``jumps`` and actuator ``jumps_a``;
+    ``plus`` adds a real multiple of another form, which scales that
+    form's weights, so it is exact for either sign. ``apply`` takes a
+    stack of matrices in the leading axes, so ``qcore._super_matrix``
+    reads a dense superoperator off any form.
     """
 
     k: np.ndarray
@@ -277,28 +274,16 @@ class _LindbladForm:
     t: np.ndarray | None = None
 
     @classmethod
-    def of(cls, h: np.ndarray, jumps: Sequence[np.ndarray]) -> "_LindbladForm":
+    def of(cls, h: np.ndarray, jumps: Sequence[np.ndarray],
+           jumps_a: Sequence[np.ndarray] = ()) -> "_LindbladForm":
         d = h.shape[0]
-        left = np.array(jumps, dtype=complex).reshape(-1, d)
-        right = np.array([l.conj().T for l in jumps], dtype=complex).reshape(-1, d)
+        embedded = [*jumps, *(np.kron(np.eye(d // l.shape[0]), l) for l in jumps_a)]
+        left = np.array(embedded, dtype=complex).reshape(-1, d)
+        right = np.array([l.conj().T for l in embedded], dtype=complex).reshape(-1, d)
         k = -1j * h - 0.5 * (_hstack(right) @ left)
-        return cls(k, k.conj().T, left, right)
-
-    @classmethod
-    def factored(cls, h: np.ndarray, jumps: Sequence[np.ndarray],
-                 jumps_a: Sequence[np.ndarray]) -> "_LindbladForm":
-        """The form ``of(h, jumps + [1 kron l for l in jumps_a])``, with ``jumps_a`` kept as ``t``.
-
-        ``jumps`` act on the joint space, ``jumps_a`` on the actuator
-        factor. K is that of the embedded form, bit for bit.
-        """
-        if not jumps_a:
-            return cls.of(h, jumps)
-        d, d_a = h.shape[0], jumps_a[0].shape[0]
-        full = cls.of(h, [*jumps, *(np.kron(np.eye(d // d_a), l) for l in jumps_a)])
         rows = len(jumps) * d
-        t = sum(np.kron(l, l.conj()) for l in jumps_a)
-        return cls(full.k, full.k_dag, full.left[:rows].copy(), full.right[:rows].copy(), t)
+        t = sum(np.kron(l, l.conj()) for l in jumps_a) if jumps_a else None
+        return cls(k, k.conj().T, left[:rows].copy(), right[:rows].copy(), t)
 
     def plus(self, c: float, other: "_LindbladForm") -> "_LindbladForm":
         """The form of L + c L' for L' = ``other`` and real c."""
@@ -318,8 +303,8 @@ class _LindbladForm:
     def norm_bound(self) -> float:
         """Upper bound on ||L m|| / ||m|| (Frobenius norm) over all m.
 
-        Holds for non-negative weights s_j, as in every form ``of`` and
-        ``factored`` build. 2 ||K'||_2 bounds K m + m K^dag, with
+        Holds for non-negative weights s_j, as in every form ``of``
+        builds. 2 ||K'||_2 bounds K m + m K^dag, with
         K' = K + i tr(H)/d, which gives the same L. The jump part J is
         then completely positive, so ||J|| <= (||J(I)|| ||J^dag(I)||)^(1/2),
         which does not depend on how the dissipator is split into jump
@@ -365,19 +350,16 @@ def _reduced_super(gen: CycleGenerator, rho_A: DensityMatrix,
     """Matrix of rho_S -> tr_A[ F(rho_S kron rho_A) ] for a linear map F.
 
     F is applied once, to the stack of the d_S^2 joint inputs E_idx kron
-    rho_A in column-stacking order (idx = row + col d_S). F may prepend
-    axes of its own (a stack of maps); they lead the result.
+    rho_A (``qcore._super_matrix``). F may prepend axes of its own (a
+    stack of maps); they lead the result.
     """
-    d_s = gen.space_S.total_dim
-    d_a = gen.space_A.total_dim
-    idx = np.arange(d_s * d_s)
-    joints = np.zeros((d_s * d_s, d_s, d_a, d_s, d_a), dtype=complex)
-    joints[idx, idx % d_s, :, idx // d_s, :] = rho_A.matrix
-    reduced = partial_trace_matrix(apply_full(joints.reshape(d_s * d_s, d_s * d_a, -1)),
-                                   (d_s, d_a), keep=0)
-    # C order: a batched matvec on a stack of these then makes the same
-    # BLAS call per matrix as a single matvec, and rounds the same way
-    return np.ascontiguousarray(vec(reduced).swapaxes(-1, -2))
+    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
+
+    def reduced(rho_s: np.ndarray) -> np.ndarray:
+        # np.kron pads rho_A to a stack of one, so it krons each matrix of rho_s
+        return partial_trace_matrix(apply_full(np.kron(rho_s, rho_A.matrix)), (d_s, d_a), keep=0)
+
+    return _super_matrix(reduced, d_s)
 
 
 def _check_actuator_state(gen: CycleGenerator, rho_A: DensityMatrix):
@@ -415,7 +397,8 @@ def phi1_super(gen: CycleGenerator, rho_A: DensityMatrix) -> SuperOperator:
     Hamiltonian.
     """
     _check_actuator_state(gen, rho_A)
-    system_part = liouvillian_super(gen.h_S, gen.jumps_S).matrix
+    system = _LindbladForm.of(gen.h_S.matrix, [l.matrix for l in gen.jumps_S])
+    system_part = _super_matrix(system.apply, gen.space_S.total_dim)
     coupling_part = _reduced_super(gen, rho_A, gen.apply_coupling_liouvillian)
     return SuperOperator(system_part + gen.g.mean * coupling_part, gen.space_S)
 

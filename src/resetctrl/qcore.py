@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, InitVar
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -285,6 +285,18 @@ def _kraus_apply(kraus: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.nd
     return _hstack(left @ rho) @ right
 
 
+def _super_matrix(apply: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
+    """Column-stacking matrix of a linear map on d x d matrices, by one call of ``apply``.
+
+    ``apply`` maps the stack of the d^2 matrix units E_idx (idx = row + col d)
+    at once; axes it prepends (a stack of maps) lead the result.
+    """
+    units = unvec(np.eye(d * d, dtype=complex), d)
+    # C order: a batched matvec on a stack of these then makes the same
+    # BLAS call per matrix as a single matvec, and rounds the same way
+    return np.ascontiguousarray(vec(apply(units)).swapaxes(-1, -2))
+
+
 def partial_trace(m: Operator, keep: int) -> Operator:
     """Reduce an operator to one subsystem by tracing out all others."""
     if m.space.n_subsystems < 2:
@@ -363,14 +375,6 @@ def dissipator_super(l: Operator) -> SuperOperator:
     ll = m.conj().T @ m
     s = np.kron(m.conj(), m) - 0.5 * np.kron(eye, ll) - 0.5 * np.kron(ll.T, eye)
     return SuperOperator(s, l.space)
-
-
-def liouvillian_super(h: Operator, jumps: Iterable[Operator]) -> SuperOperator:
-    """Full Lindblad generator -i[h, .] + sum of dissipators."""
-    total = ham_super(h).matrix
-    for l in jumps:
-        total = total + dissipator_super(l).matrix
-    return SuperOperator(total, h.space)
 
 
 def choi_matrix(s: SuperOperator) -> np.ndarray:

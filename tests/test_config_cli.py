@@ -283,6 +283,14 @@ class TestCli:
             ("simulate", {"model": {"cutoff": "30"}}, "model.cutoff"),
             ("simulate", {"states": {"fock_index": 1.0}}, "states.fock_index"),
             ("simulate", {"model": {"switching": "sin_squared"}}, "model.switching"),
+            ("chernoff", {"experiment": {"chernoff_time": "1"}}, "experiment.chernoff_time"),
+            ("simulate", {"model": {"nu": "1"}}, "model.nu"),
+            ("simulate", {"tolerances": {"step_tol": "1e-9"}}, "tolerances.step_tol"),
+            ("simulate", {"states": {"alpha": [1, "x"]}}, "states.alpha"),
+            ("lie", {"experiment": {"lie_generators": [1]}}, "experiment.lie_generators"),
+            ("simulate", {"schedule": {"total_time": True}}, "schedule.total_time"),
+            ("effective", {"model": {"nu": float("nan")}}, "model.nu"),
+            ("chernoff", {"experiment": {"chernoff_time": float("inf")}}, "experiment.chernoff_time"),
         ],
     )
     def test_malformed_field_exits_one_naming_it(self, tmp_path, capsys, kind, section, field):

@@ -119,17 +119,11 @@ class TestCyclePropagator:
         gen, _ = random_open_qq(rng)
         dt = 0.5
         ladder = [4, 8, 16, 32, 64]
-        props = [cycle_propagator(gen, dt, s, method="superop").matrix for s in ladder]
+        props = [cycle_propagator(gen, dt, s).matrix for s in ladder]
         widths = [dt / s for s in ladder]
         diffs = [np.max(np.abs(a - b)) for a, b in zip(props, props[1:])]
         report = fit_order(list(reversed(widths[:-1])), list(reversed(diffs)))
         assert 3.8 <= report.fitted_order <= 4.2
-
-    def test_unitary_and_superop_paths_agree(self, rng):
-        gen, _ = random_closed_qq(rng)
-        p_u = cycle_propagator(gen, 0.3, 32, method="unitary")
-        p_s = cycle_propagator(gen, 0.3, 32, method="superop")
-        assert np.max(np.abs(p_u.matrix - p_s.matrix)) <= 1e-10
 
     def test_unitary_path_rejects_open(self, rng):
         gen, _ = random_open_qq(rng)
@@ -749,7 +743,7 @@ class TestLargeDimMatvecPath:
         )
         assert traj.metadata["path"] == "matvec"
 
-        prop = cycle_propagator(gen, dt, substeps, method="superop")
+        prop = cycle_propagator(gen, dt, substeps)
         joint = np.kron(rho0.matrix, rho_a.matrix)
         dense = unvec(prop.matrix @ vec(joint), 20)
         from resetctrl.qcore import partial_trace_matrix
@@ -870,7 +864,7 @@ class TestOpenAgainstOracle:
         exact = _oracle_cycle(gen, dt, np.eye(16))
         ladder = [8, 16, 32, 64]
         errors = [
-            np.max(np.abs(cycle_propagator(gen, dt, s, method="superop").matrix - exact))
+            np.max(np.abs(cycle_propagator(gen, dt, s).matrix - exact))
             for s in ladder
         ]
         widths = [dt / s for s in ladder]
@@ -902,7 +896,7 @@ class TestOpenAgainstOracle:
             gen, rho0, rho_a, ResetSchedule((dt,)), substeps=substeps
         )
         assert traj.metadata["path"] == "matvec"
-        prop = cycle_propagator(gen, dt, substeps, method="superop").matrix
+        prop = cycle_propagator(gen, dt, substeps).matrix
         dense = unvec(prop @ vec(np.kron(rho0.matrix, rho_a.matrix)), 20)
         reduced = partial_trace_matrix(dense, (10, 2), keep=0)
         assert trace_distance(traj.states[-1].matrix, reduced) <= 1e-11
@@ -1044,7 +1038,7 @@ class TestOpenFactorsAreChannels:
         # the two factors make up the step the dense path takes
         np.testing.assert_allclose(
             factors[1] @ factors[0],
-            cycle_propagator(gen, 0.3, 1, method="superop").matrix,
+            cycle_propagator(gen, 0.3, 1).matrix,
             atol=1e-14,
         )
         for f in factors:

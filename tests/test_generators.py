@@ -33,6 +33,7 @@ from resetctrl.models import (
 from resetctrl.qcore import (
     DensityMatrix,
     Operator,
+    dissipator_super,
     ham_super,
     partial_trace_matrix,
     unvec,
@@ -243,6 +244,41 @@ class TestFactoredActuatorJumps:
         assert form.t is None and not len(form.left)
         m = random_matrix(rng, 4)
         assert np.array_equal(form.apply(m), form.k @ m + m @ form.k_dag)
+
+
+class TestDenseLindbladOracle:
+    """Dense Liouvillians against ham_super + sum of dissipator_super.
+
+    ``free_super``, ``coupling_super`` and Phi_1 are read off the
+    ``_LindbladForm`` they share with the matrix-free path; the oracle
+    embeds every jump explicitly (l kron 1, 1 kron l) and adds the kron
+    formulas of ``qcore``.
+    """
+
+    @staticmethod
+    def _oracle(h, jumps):
+        return ham_super(h).matrix + sum(dissipator_super(l).matrix for l in jumps)
+
+    @staticmethod
+    def _assert_close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("model", sorted(TestFactoredActuatorJumps.MODELS))
+    def test_free_coupling_and_phi1_system_part(self, model, rng):
+        gen = TestFactoredActuatorJumps.MODELS[model](rng)
+        assert gen.jumps_S and gen.jumps_A and gen.jumps_SA
+        eye_s, eye_a = np.eye(gen.space_S.total_dim), np.eye(gen.space_A.total_dim)
+        embedded = [np.kron(l.matrix, eye_a) for l in gen.jumps_S]
+        embedded += [np.kron(eye_s, l.matrix) for l in gen.jumps_A]
+        free = self._oracle(
+            Operator(gen.h_free_full, gen.space), [Operator(l, gen.space) for l in embedded]
+        )
+        self._assert_close(gen.free_super.matrix, free)
+        self._assert_close(gen.coupling_super.matrix, self._oracle(gen.h_SA, gen.jumps_SA))
+        # a zero mean coupling leaves Phi_1 its system part L_S
+        uncoupled = dataclasses.replace(gen, g=constant(0.0))
+        rho_a = DensityMatrix.from_matrix(random_density(rng, 2))
+        self._assert_close(phi1_super(uncoupled, rho_a).matrix, self._oracle(gen.h_S, gen.jumps_S))
 
 
 class TestEffectiveHamiltonian:

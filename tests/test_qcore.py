@@ -9,6 +9,7 @@ from resetctrl.qcore import (
     Operator,
     SuperOperator,
     _hstack,
+    _super_matrix,
     choi_matrix,
     dissipator_super,
     expm_hermitian,
@@ -448,3 +449,24 @@ class TestStacks:
             for i in range(2):
                 for j in range(3):
                     assert np.array_equal(out[i, j], partial_trace_matrix(stack[i, j], dims, keep))
+
+
+class TestSuperMatrix:
+    """_super_matrix reads a map's column-stacking matrix back exactly."""
+
+    @staticmethod
+    def _dense_map(s, d):
+        # the map of a stack of superoperators s (..., d^2, d^2), prepending their axes
+        return lambda m: unvec((s[..., None, :, :] @ vec(m)[..., None])[..., 0], d)
+
+    def test_returns_a_dense_superoperator(self, rng):
+        s = random_matrix(rng, 9)
+        got = _super_matrix(self._dense_map(s, 3), 3)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, s)
+
+    def test_passes_a_stack_axis_through(self, rng):
+        s = _random_stack(rng, (2, 9, 9))
+        got = _super_matrix(self._dense_map(s, 3), 3)
+        assert got.shape == (2, 9, 9) and got.flags.c_contiguous
+        assert np.array_equal(got, s)
