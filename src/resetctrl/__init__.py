@@ -14,9 +14,7 @@ from .qcore import (
     fidelity_pure,
     ham_super,
     is_cptp,
-    kron,
     mat_exp,
-    partial_trace,
     trace_distance,
     trace_norm,
 )

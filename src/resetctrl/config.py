@@ -163,6 +163,13 @@ class TolerancesSpec:
     step_tol: float = 1e-9
     map_tol: float = 1e-10
 
+    def __post_init__(self):
+        # no substep ladder can meet a zero or negative tolerance
+        if self.step_tol <= 0:
+            raise ConfigError("tolerances.step_tol: must be positive")
+        if self.map_tol <= 0:
+            raise ConfigError("tolerances.map_tol: must be positive")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:

@@ -78,7 +78,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .generators import CycleGenerator, SwitchingFunction, _reduced_super
+from .generators import CycleGenerator, SwitchingFunction, _check_actuator_state, _reduced_super
 from .quadrature import _refine_doubling
 from .qcore import (
     ConvergenceError,
@@ -156,10 +156,6 @@ class ResetSchedule:
     def gaps(self) -> tuple[float, ...]:
         edges = (0.0,) + self.reset_times
         return tuple(b - a for a, b in zip(edges, edges[1:]))
-
-    @property
-    def max_gap(self) -> float:
-        return max(self.gaps)
 
 
 @dataclass
@@ -385,6 +381,14 @@ def _system_state(gen: CycleGenerator, m: np.ndarray) -> DensityMatrix:
     return DensityMatrix(Operator(m, gen.space_S), **_STATE_TOLS)
 
 
+def _check_states(gen: CycleGenerator, rho_S: DensityMatrix, rho_A: DensityMatrix):
+    if rho_S.space.total_dim != gen.space_S.total_dim:
+        raise ValueError(
+            f"system state dimension {rho_S.space.total_dim} != {gen.space_S.total_dim}"
+        )
+    _check_actuator_state(gen, rho_A)
+
+
 def _actuator_columns(rho_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns sqrt|p_k| a_k over the eigenpairs (p_k, a_k) of rho_A, and the signs of p_k.
 
@@ -429,14 +433,14 @@ def _kraus(
     return left, right
 
 
-def _system_super(gen: CycleGenerator, rho_A: DensityMatrix, p: np.ndarray) -> np.ndarray:
-    """Matrix of rho_S -> tr_A[P (rho_S kron rho_A)] for a dense joint superoperator P.
+def _system_super(gen: CycleGenerator, rho_a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Matrix of rho_S -> tr_A[P (rho_S kron rho_a)] for a dense joint superoperator P.
 
     A stack of P gives the stack of matrices, one matvec per P and basis input.
     """
     d = gen.total_dim
     return _reduced_super(
-        gen, rho_A, lambda m: unvec((p[..., None, :, :] @ vec(m)[..., None])[..., 0], d)
+        gen, rho_a, lambda m: unvec((p[..., None, :, :] @ vec(m)[..., None])[..., 0], d)
     )
 
 
@@ -494,6 +498,7 @@ def cycle_map(
     With ``substeps=None`` the substep count doubles until the
     propagator stabilizes to ``tol`` (max-abs difference).
     """
+    _check_actuator_state(gen, rho_A)
     if dt < 0:
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
@@ -520,7 +525,7 @@ def cycle_map(
     if path is _UNITARY:
         reduced = _kraus_super(_kraus(prop, *_actuator_columns(rho_A.matrix)))
     else:
-        reduced = _system_super(gen, rho_A, prop)
+        reduced = _system_super(gen, rho_A.matrix, prop)
     return SuperOperator(reduced, gen.space_S)
 
 
@@ -563,8 +568,7 @@ class _CycleKernel:
         if self.path is _UNITARY:
             self._kraus = _kraus(_sweep(gen, _UNITARY, gap, self._grid), *actuator)
         elif self.path is _SUPEROP:
-            rho = DensityMatrix(Operator(rho_a, gen.space_A), validate=False)
-            self._supers = _system_super(gen, rho, _sweep(gen, _SUPEROP, gap, self._grid))
+            self._supers = _system_super(gen, rho_a, _sweep(gen, _SUPEROP, gap, self._grid))
 
     def apply(self, rho_s: np.ndarray) -> np.ndarray:
         """Propagate a system state through one cycle; returns its samples, stacked."""
@@ -636,10 +640,7 @@ def evolve_with_resets(
     cycle when requested. ``monitor_top_levels`` tracks the population
     of the top system levels to expose truncation artifacts.
     """
-    if rho_S0.space.total_dim != gen.space_S.total_dim:
-        raise ValueError("initial system state dimension mismatch")
-    if rho_A.space.total_dim != gen.space_A.total_dim:
-        raise ValueError("actuator state dimension mismatch")
+    _check_states(gen, rho_S0, rho_A)
     if samples_per_cycle < 1:
         raise ValueError("samples_per_cycle must be >= 1")
 
@@ -705,6 +706,7 @@ def intra_cycle_trajectory(
     full cycle length ``dt``, refined on the sampled state. Its
     ``segments`` entry spans [0, tau].
     """
+    _check_states(gen, rho_S, rho_A)
     pts = sorted(float(p) for p in sample_points)
     if not pts:
         raise ValueError("sample_points must be non-empty")

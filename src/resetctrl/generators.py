@@ -345,19 +345,19 @@ class _LindbladForm:
         return out
 
 
-def _reduced_super(gen: CycleGenerator, rho_A: DensityMatrix,
+def _reduced_super(gen: CycleGenerator, rho_a: np.ndarray,
                    apply_full: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Matrix of rho_S -> tr_A[ F(rho_S kron rho_A) ] for a linear map F.
+    """Matrix of rho_S -> tr_A[ F(rho_S kron rho_a) ] for a linear map F.
 
     F is applied once, to the stack of the d_S^2 joint inputs E_idx kron
-    rho_A (``qcore._super_matrix``). F may prepend axes of its own (a
+    rho_a (``qcore._super_matrix``). F may prepend axes of its own (a
     stack of maps); they lead the result.
     """
     d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
 
     def reduced(rho_s: np.ndarray) -> np.ndarray:
-        # np.kron pads rho_A to a stack of one, so it krons each matrix of rho_s
-        return partial_trace_matrix(apply_full(np.kron(rho_s, rho_A.matrix)), (d_s, d_a), keep=0)
+        # np.kron pads rho_a to a stack of one, so it krons each matrix of rho_s
+        return partial_trace_matrix(apply_full(np.kron(rho_s, rho_a)), (d_s, d_a), keep=0)
 
     return _super_matrix(reduced, d_s)
 
@@ -399,7 +399,7 @@ def phi1_super(gen: CycleGenerator, rho_A: DensityMatrix) -> SuperOperator:
     _check_actuator_state(gen, rho_A)
     system = _LindbladForm.of(gen.h_S.matrix, [l.matrix for l in gen.jumps_S])
     system_part = _super_matrix(system.apply, gen.space_S.total_dim)
-    coupling_part = _reduced_super(gen, rho_A, gen.apply_coupling_liouvillian)
+    coupling_part = _reduced_super(gen, rho_A.matrix, gen.apply_coupling_liouvillian)
     return SuperOperator(system_part + gen.g.mean * coupling_part, gen.space_S)
 
 
@@ -433,4 +433,4 @@ def phi2_super(gen: CycleGenerator, rho_A: DensityMatrix) -> SuperOperator:
         l1m = l1(m)
         return w_00 * l0(l0m) + w_10 * l1(l0m) + w_01 * l0(l1m) + w_11 * l1(l1m)
 
-    return SuperOperator(_reduced_super(gen, rho_A, apply_full), gen.space_S)
+    return SuperOperator(_reduced_super(gen, rho_A.matrix, apply_full), gen.space_S)

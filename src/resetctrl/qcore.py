@@ -1,5 +1,9 @@
 """Finite-dimensional quantum linear algebra on dense complex matrices.
 
+``Operator``, ``DensityMatrix`` (validated) and ``SuperOperator`` tag a
+matrix with its Hilbert space and carry no arithmetic; the numerical
+work (partial trace, exponentials, norms, CPTP checks) acts on arrays.
+
 Conventions used throughout the package:
 
 * hbar = 1; all frequencies are in units of a reference model frequency.
@@ -70,10 +74,6 @@ class HilbertSpace:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
     def tensor(self, other: "HilbertSpace") -> "HilbertSpace":
         return HilbertSpace(self.dims + other.dims)
 
@@ -115,33 +115,6 @@ class Operator:
     def is_hermitian(self) -> bool:
         """Hermitian within ``TOL_HERM`` (max-abs asymmetry)."""
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= TOL_HERM)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_same_space(other)
-        return Operator(self.matrix + other.matrix, self.space)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_space(other)
-        return Operator(self.matrix - other.matrix, self.space)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.matrix * scalar, self.space)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_same_space(other)
-        return Operator(self.matrix @ other.matrix, self.space)
-
-    def _check_same_space(self, other: "Operator"):
-        if other.space.total_dim != self.space.total_dim:
-            raise ValueError(
-                f"operator dimensions differ: {self.space.total_dim} vs "
-                f"{other.space.total_dim}"
-            )
 
 
 @dataclass(frozen=True)
@@ -232,9 +205,6 @@ class SuperOperator:
         d = self.dim
         return unvec(self.matrix @ vec(matrix), d)
 
-    def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
-        return SuperOperator(self.matrix @ other.matrix, self.space)
-
 
 def vec(matrix: np.ndarray) -> np.ndarray:
     """Column-stack a matrix, or each matrix of a stack in the last two axes, into a vector."""
@@ -246,11 +216,6 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec` for square matrices of side ``dim``, in the last axis."""
     v = np.asarray(vector)
     return v.reshape(v.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product on the concatenated Hilbert space."""
-    return Operator(np.kron(a.matrix, b.matrix), a.space.tensor(b.space))
 
 
 def partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int], keep: int) -> np.ndarray:
@@ -295,14 +260,6 @@ def _super_matrix(apply: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarr
     # C order: a batched matvec on a stack of these then makes the same
     # BLAS call per matrix as a single matvec, and rounds the same way
     return np.ascontiguousarray(vec(apply(units)).swapaxes(-1, -2))
-
-
-def partial_trace(m: Operator, keep: int) -> Operator:
-    """Reduce an operator to one subsystem by tracing out all others."""
-    if m.space.n_subsystems < 2:
-        raise ValueError("partial_trace needs at least two subsystems")
-    out = partial_trace_matrix(m.matrix, m.space.dims, keep)
-    return Operator(out, HilbertSpace((m.space.dims[keep],)))
 
 
 def mat_exp(m: np.ndarray) -> np.ndarray:

@@ -291,6 +291,8 @@ class TestCli:
             ("simulate", {"schedule": {"total_time": True}}, "schedule.total_time"),
             ("effective", {"model": {"nu": float("nan")}}, "model.nu"),
             ("chernoff", {"experiment": {"chernoff_time": float("inf")}}, "experiment.chernoff_time"),
+            ("gradual", {"tolerances": {"step_tol": -1}}, "tolerances.step_tol"),
+            ("chernoff", {"tolerances": {"map_tol": 0}}, "tolerances.map_tol"),
         ],
     )
     def test_malformed_field_exits_one_naming_it(self, tmp_path, capsys, kind, section, field):

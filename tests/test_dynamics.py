@@ -71,7 +71,7 @@ class TestResetSchedule:
     def test_uniform(self):
         s = ResetSchedule.uniform(4, 2.0)
         np.testing.assert_allclose(s.reset_times, [0.5, 1.0, 1.5, 2.0])
-        assert s.max_gap == pytest.approx(0.5)
+        assert max(s.gaps) == pytest.approx(0.5)
         assert s.n_resets == 4
         assert s.total_time == 2.0
 
@@ -86,7 +86,7 @@ class TestResetSchedule:
     def test_gaps(self):
         s = ResetSchedule((0.2, 0.7, 1.0))
         np.testing.assert_allclose(s.gaps, [0.2, 0.5, 0.3])
-        assert s.max_gap == pytest.approx(0.5)
+        assert max(s.gaps) == pytest.approx(0.5)
 
 
 class TestCyclePropagator:
@@ -221,7 +221,7 @@ class TestSystemSpaceKraus:
         gen, rho_a = self.GENS[gen_name](), self.RHO_AS[rho_name]()
         dt = 0.5
         u = cycle_unitary(gen, dt, 8)
-        loop = _reduced_super(gen, rho_a, lambda m: u @ m @ u.conj().T)
+        loop = _reduced_super(gen, rho_a.matrix, lambda m: u @ m @ u.conj().T)
         kraus = cycle_map(gen, rho_a, dt, substeps=8).matrix
         assert np.max(np.abs(kraus - loop)) <= 1e-13
 
@@ -323,11 +323,11 @@ class TestStackedSystemMaps:
         l0, l1 = gen.apply_free_liouvillian, gen.apply_coupling_liouvillian
         if form == "superop":
             p = cycle_propagator(gen, 0.5, 2).matrix
-            got = _system_super(gen, rho_a, p)
+            got = _system_super(gen, rho_a.matrix, p)
             apply_full = lambda m: unvec(p @ vec(m), gen.total_dim)
         else:
             apply_full = l1 if form == "coupling" else (lambda m: 0.3 * l0(l1(m)) + l1(l1(m)))
-            got = _reduced_super(gen, rho_a, apply_full)
+            got = _reduced_super(gen, rho_a.matrix, apply_full)
         assert np.array_equal(got, _reduced_super_loop(gen, rho_a, apply_full))
 
     def test_closed_kernel_apply_matches_per_sample_kraus(self, rng):
@@ -354,7 +354,7 @@ class TestStackedSystemMaps:
         got = kernel.apply(rho_s)
         assert got.shape == (4, d_s, d_s)
         for sample, p in zip(got, partials):
-            ref = unvec(_system_super(gen, rho_a, p) @ vec(rho_s), d_s)
+            ref = unvec(_system_super(gen, rho_a.matrix, p) @ vec(rho_s), d_s)
             assert np.array_equal(sample, ref)
 
 
@@ -486,10 +486,19 @@ class TestEvolveWithResets:
     def test_dimension_mismatch_errors(self, rng):
         gen, rho_a = random_closed_qq(rng)
         rho3 = DensityMatrix.from_matrix(np.eye(3) / 3)
-        with pytest.raises(ValueError):
+        rho4 = DensityMatrix.from_matrix(np.eye(4) / 4)
+        system, actuator = "system state dimension 3 != 2", "actuator state dimension 3 != 2"
+        with pytest.raises(ValueError, match=system):
             evolve_with_resets(gen, rho3, rho_a, ResetSchedule.uniform(2, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=actuator):
             evolve_with_resets(gen, rho_a, rho3, ResetSchedule.uniform(2, 1.0))
+        # checked before the substep ladder runs
+        with pytest.raises(ValueError, match="actuator state dimension 4 != 2"):
+            cycle_map(gen, rho4, 0.1)
+        with pytest.raises(ValueError, match=system):
+            intra_cycle_trajectory(gen, rho3, rho_a, 0.1, [0.05])
+        with pytest.raises(ValueError, match=actuator):
+            intra_cycle_trajectory(gen, rho_a, rho3, 0.1, [0.05])
 
     def test_non_convergence_reports_residual(self):
         gen, rho_a = generic_qq()
@@ -515,7 +524,7 @@ class TestEvolveWithResets:
         coarse = tuple(np.sort(np.r_[np.random.default_rng(5).uniform(0.05, 0.95, 5), t]))
         fine_rng = np.random.default_rng(6)
         fine = tuple(np.sort(np.r_[fine_rng.uniform(0.02, 0.98, 30), t]))
-        assert ResetSchedule(fine).max_gap < ResetSchedule(coarse).max_gap
+        assert max(ResetSchedule(fine).gaps) < max(ResetSchedule(coarse).gaps)
         assert deviation(fine) < deviation(coarse)
 
 
