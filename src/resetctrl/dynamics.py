@@ -57,16 +57,21 @@ refuses a dense reduced map of an open generator above
 matrix-free exponential is split by a norm bound of the generator,
 never by the state it acts on. One sweep, ``_sweep``, runs the
 substep factors of any path over the grid, and one ladder,
-``quadrature._refine_doubling``, doubles the substeps until successive
-outputs agree, with two criteria: ``cycle_map`` compares the cycle
-propagators by max-abs difference, a kernel its last reduced sample of
-the calibrating state by trace distance. Kernel and segment metadata
+``quadrature._refine_doubling``, doubles the substeps, with two
+distances: ``cycle_map`` compares the cycle propagators by max-abs
+difference, a kernel its last reduced sample of the calibrating state
+by trace distance. A level is accepted when it agrees with the one
+before to the tolerance, or earlier on its Richardson error estimate:
+once the ratio of two successive residuals confirms the order p of the
+path (6 closed, 4 open) to within a factor of two, the residual divided
+by 2^(p-1) - 1 must be below the tolerance. Kernel and segment metadata
 record that ladder as ``[[substeps, residual], ...]``, one entry per
 level compared with the one before, so the ratio of successive
 residuals shows the empirical order (about 2^6 = 64 on the closed path,
-2^4 = 16 on the open ones). A ladder that reaches its cap raises
-ConvergenceError with its levels in ``ladder``, counted in substeps per
-piece of the grid.
+2^4 = 16 on the open ones), and ``accepted_on`` names the rule that
+accepted it, ``"agreement"`` or ``"estimate"``. A ladder that reaches
+its cap raises ConvergenceError with its levels in ``ladder``, counted
+in substeps per piece of the grid.
 """
 
 from __future__ import annotations
@@ -328,17 +333,19 @@ class _Path:
     ``factor(gen, zeta, dzeta, dt)`` builds the factor of one substep. A
     dense factor is a square matrix of side d ** ``power`` for joint
     dimension d; a matrix-free one is a map on joint states and has no
-    power.
+    power. ``order`` is the order of the substep rule in the substep
+    width, which the substep ladder uses for its error estimate.
     """
 
     name: str
     factor: Callable
     power: int | None
+    order: int
 
 
-_UNITARY = _Path("unitary", _closed_step, 1)
-_SUPEROP = _Path("superop", _open_step_super, 2)
-_MATVEC = _Path("matvec", _open_step_matvec, None)
+_UNITARY = _Path("unitary", _closed_step, 1, 6)
+_SUPEROP = _Path("superop", _open_step_super, 2, 4)
+_MATVEC = _Path("matvec", _open_step_matvec, None, 4)
 
 
 def _path(gen: CycleGenerator) -> _Path:
@@ -354,12 +361,15 @@ def _sweep(
     dt: float,
     grid: tuple[list[float], list[float], list[int]],
     joint: np.ndarray | None = None,
+    factors: Sequence | None = None,
 ) -> np.ndarray:
     """Run the substep factors of ``grid`` in order; return the values at the part ends, stacked.
 
     Without ``joint`` the dense factors are left-multiplied into partial
     products, starting from the identity; with it every matrix-free
-    factor acts on the joint state in turn.
+    factor acts on the joint state in turn. ``factors`` are the factors
+    of ``grid`` if the caller holds them already; otherwise each is
+    built as it is needed.
     """
     zetas, widths, ends = grid
     if joint is None:
@@ -368,10 +378,11 @@ def _sweep(
         cur, step = joint, lambda f, m: f(m)
     if dt == 0.0:
         return np.array([cur] * len(ends))
-    factor = path.factor
+    if factors is None:
+        factors = (path.factor(gen, zeta, dzeta, dt) for zeta, dzeta in zip(zetas, widths))
     out = []
-    for k, (zeta, dzeta) in enumerate(zip(zetas, widths), start=1):
-        cur = step(factor(gen, zeta, dzeta, dt), cur)
+    for k, factor in enumerate(factors, start=1):
+        cur = step(factor, cur)
         if k in ends:
             out.append(cur)
     return np.array(out)
@@ -495,8 +506,10 @@ def cycle_map(
 ) -> SuperOperator:
     """Reduced dynamical map on the system for one evolve-and-reset cycle.
 
-    With ``substeps=None`` the substep count doubles until the
-    propagator stabilizes to ``tol`` (max-abs difference).
+    With ``substeps=None`` the substep count doubles until two
+    successive propagators agree to ``tol`` (max-abs difference), or
+    until the Richardson estimate of the path's order puts the error of
+    the last one below ``tol``.
     """
     _check_actuator_state(gen, rho_A)
     if dt < 0:
@@ -521,6 +534,7 @@ def cycle_map(
         tol=tol if substeps is None else None,
         cap=substep_cap,
         what="cycle_map substep refinement",
+        order=path.order,
     )
     if path is _UNITARY:
         reduced = _kraus_super(_kraus(prop, *_actuator_columns(rho_A.matrix)))
@@ -545,7 +559,8 @@ class _CycleKernel:
     the dense open path into the d_S^2 x d_S^2 matrices of rho_S ->
     tr_A[P (rho_S kron rho_a)]. A dense ``apply`` is one stacked product
     per cycle, not one per sample. Only the matrix-free path forms joint
-    states: it steps rho_S kron rho_a through the factors on every apply.
+    states: it holds the substep factors (their fused Lindblad forms) and
+    steps rho_S kron rho_a through them on every apply.
     """
 
     def __init__(
@@ -564,11 +579,14 @@ class _CycleKernel:
         self._grid = _substep_grid(gen.g, 0.0, end, substeps_per_piece, parts)
         self.substeps = self._grid[2][-1]
         self._rho_a = rho_a
-        self._kraus = self._supers = None
+        self._kraus = self._supers = self._factors = None
         if self.path is _UNITARY:
             self._kraus = _kraus(_sweep(gen, _UNITARY, gap, self._grid), *actuator)
         elif self.path is _SUPEROP:
             self._supers = _system_super(gen, rho_a, _sweep(gen, _SUPEROP, gap, self._grid))
+        else:
+            zetas, widths, _ = self._grid
+            self._factors = [_open_step_matvec(gen, z, w, gap) for z, w in zip(zetas, widths)]
 
     def apply(self, rho_s: np.ndarray) -> np.ndarray:
         """Propagate a system state through one cycle; returns its samples, stacked."""
@@ -578,7 +596,7 @@ class _CycleKernel:
         if self._supers is not None:
             return unvec(self._supers @ vec(rho_s), d_s)
         joint = np.kron(rho_s, self._rho_a)
-        joints = _sweep(self.gen, _MATVEC, self.gap, self._grid, joint)
+        joints = _sweep(self.gen, _MATVEC, self.gap, self._grid, joint, self._factors)
         return partial_trace_matrix(joints, (d_s, self._rho_a.shape[0]), keep=0)
 
 
@@ -597,27 +615,33 @@ def _build_kernel(
 
     Returns the kernel, its samples of the probe (so the caller does not
     propagate the probe again) and its metadata: the total substeps, the
-    calibration residual and the ladder as [total substeps, residual]
-    pairs. A fixed ``substeps`` is spread over the sample intervals,
-    rounded up.
+    calibration residual, the ladder as [total substeps, residual] pairs
+    and, when a ladder ran, the rule that accepted its level
+    (``accepted_on``). A fixed ``substeps`` is spread over the sample
+    intervals, rounded up.
     """
-    actuator = _actuator_columns(rho_a) if _path(gen) is _UNITARY else None
+    path = _path(gen)
+    actuator = _actuator_columns(rho_a) if path is _UNITARY else None
 
     def run(s: int) -> tuple[_CycleKernel, list[np.ndarray]]:
         kernel = _CycleKernel(gen, gap, s, parts, rho_a, actuator, end)
         return kernel, kernel.apply(probe)
 
-    (kernel, reduced), accepted, resid, history = _refine_doubling(
+    (kernel, reduced), accepted, resid, history, rule = _refine_doubling(
         run,
         lambda a, b: trace_distance(a[1][-1], b[1][-1]),
         start=1 if substeps is None else max(1, -(-substeps // parts)),
         tol=tol if substeps is None else None,
         cap=max(1, cap // parts),
         what="cycle propagation",
+        order=path.order,
     )
     # the total is proportional to the substeps per piece
     ladder = [[s * kernel.substeps // accepted, r] for s, r in history]
-    return kernel, reduced, {"substeps": kernel.substeps, "residual": resid, "ladder": ladder}
+    info = {"substeps": kernel.substeps, "residual": resid, "ladder": ladder}
+    if rule is not None:
+        info["accepted_on"] = rule
+    return kernel, reduced, info
 
 
 def evolve_with_resets(
@@ -645,7 +669,7 @@ def evolve_with_resets(
         raise ValueError("samples_per_cycle must be >= 1")
 
     fractions = [(k + 1) / samples_per_cycle for k in range(samples_per_cycle)]
-    edges = (0.0,) + schedule.reset_times
+    starts = (0.0,) + schedule.reset_times[:-1]
     kernels: dict[float, _CycleKernel] = {}
     kernel_info: dict[float, dict] = {}
     applies: dict[float, int] = {}
@@ -655,8 +679,7 @@ def evolve_with_resets(
     rho_s = rho_S0.matrix
     top_level_max = 0.0
 
-    for start, stop in zip(edges, edges[1:]):
-        gap = stop - start
+    for start, gap in zip(starts, schedule.gaps):
         key = round(gap, 12)
         if key in kernels:
             samples = kernels[key].apply(rho_s)

@@ -4,7 +4,9 @@ Piecewise-continuous integrands are handled by splitting the domain at
 supplied breakpoints; within each smooth piece the node count doubles
 until two successive refinements agree to tolerance. The doubling
 ladder, ``_refine_doubling``, is also the one that refines the substep
-count of every propagator in ``dynamics``.
+count of every propagator in ``dynamics``; those pass the order of
+their integrator, so that a level can also be accepted on its
+Richardson error estimate.
 """
 
 from __future__ import annotations
@@ -48,19 +50,31 @@ def _refine_doubling(
     tol: float | None,
     cap: int,
     what: str,
-) -> tuple[object, int, float, list[tuple[int, float]]]:
-    """Double a resolution from ``start`` until successive outputs agree.
+    order: int | None = None,
+) -> tuple[object, int, float, list[tuple[int, float]], str | None]:
+    """Double a resolution from ``start`` until the output is within ``tol``.
 
-    Returns the accepted output, its resolution, the residual
-    ``distance(current, previous)`` and the history of the ladder: one
-    (resolution, residual) pair per level compared with the one before,
-    ending with the accepted level. No resolution above ``cap`` is run.
-    ``tol=None`` fixes the resolution: ``run(start)`` is accepted as is,
-    with residual 0 and an empty history. A ladder that reaches the cap
-    raises ConvergenceError carrying its history (``ladder``).
+    Level s is accepted on agreement when the residual r(s) =
+    ``distance(run(s), run(s / 2))`` is below ``tol``. A caller whose
+    ``run`` converges at a known ``order`` p also accepts it on the
+    Richardson estimate (Hairer, Norsett & Wanner, Solving ODEs I,
+    section II.4): once the ratio r(s / 2) / r(s) of two successive
+    residuals lies in [2^(p-1), 2^(p+1)], the error of level s is
+    estimated as r(s) / (ratio - 1), at most r(s) / (2^(p-1) - 1) inside
+    that band, and s is accepted when the latter is below ``tol``.
+    The estimate only ever accepts a level earlier, never later.
+
+    Returns the accepted output, its resolution, its residual r(s), the
+    history of the ladder (one (resolution, residual) pair per level
+    compared with the one before, ending with the accepted level) and
+    the rule that accepted it, ``"agreement"`` or ``"estimate"``. No
+    resolution above ``cap`` is run. ``tol=None`` fixes the resolution:
+    ``run(start)`` is accepted as is, with residual 0, an empty history
+    and no rule. A ladder that reaches the cap raises ConvergenceError
+    carrying its history (``ladder``).
     """
     if tol is None:
-        return run(start), start, 0.0, []
+        return run(start), start, 0.0, [], None
     s = max(1, start)
     resid = np.inf
     history = []
@@ -72,7 +86,12 @@ def _refine_doubling(
             resid = distance(cur, prev)
             history.append((s, resid))
             if resid < tol:
-                return cur, s, resid, history
+                return cur, s, resid, history, "agreement"
+            if order is not None and len(history) > 1:
+                low = 2.0 ** (order - 1)
+                in_band = low * resid <= history[-2][1] <= 4.0 * low * resid
+                if in_band and resid < (low - 1.0) * tol:
+                    return cur, s, resid, history, "estimate"
             prev = cur
     raise ConvergenceError(f"{what} did not converge by cap {cap}", resid, s, history)
 

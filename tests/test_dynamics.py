@@ -587,6 +587,52 @@ class TestLadderMetadata:
         assert info == {"substeps": 8, "residual": 0.0, "ladder": []}
 
 
+class TestEstimateAcceptance:
+    """A level accepted on the order estimate holds the tolerance.
+
+    The oracle is the same run at four times the accepted substeps,
+    fixed: each cycle may add at most ``step_tol`` to the distance.
+    """
+
+    @staticmethod
+    def _check(gen, rho_a, rho0, schedule, tol):
+        traj = evolve_with_resets(gen, rho0, rho_a, schedule, step_tol=tol)
+        (info,) = traj.metadata["kernels"].values()
+        # accepted where the agreement rule would have gone on
+        assert info["accepted_on"] == "estimate" and info["residual"] >= tol
+        fine = evolve_with_resets(gen, rho0, rho_a, schedule, substeps=4 * info["substeps"])
+        for k, (got, ref) in enumerate(zip(traj.states, fine.states)):
+            assert trace_distance(got.matrix, ref.matrix) <= k * tol
+
+    def test_matrix_free_open_trajectory(self):
+        gen, rho_a, rho0 = _open_matvec_model()
+        gen = dataclasses.replace(gen, jumps_A=reset_jumps(rho_a, 1.0))
+        assert _path(gen) is _MATVEC
+        self._check(gen, rho_a, rho0, ResetSchedule.uniform(2, 0.6), 1e-8)
+
+    def test_closed_kraus_kernel(self):
+        gen, rho_a = generic_qq()
+        assert _path(gen).name == "unitary"
+        rho0 = DensityMatrix.pure(np.array([1.0, 0.0]), (2,))
+        self._check(gen, rho_a, rho0, ResetSchedule.uniform(2, 2.0), 1e-9)
+
+    @pytest.mark.parametrize("make", [random_closed_qq, random_open_qq])
+    def test_metadata_names_the_rule(self, make, rng):
+        gen, rho_a = make(rng)
+        gen = dataclasses.replace(gen, g=sin_squared(1.5))
+        rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
+        tol = 1e-9
+        kernels = evolve_with_resets(
+            gen, rho0, rho_a, ResetSchedule.uniform(3, 1.2), step_tol=tol
+        ).metadata["kernels"].values()
+        segments = intra_cycle_trajectory(
+            gen, rho0, rho_a, 0.7, [0.2, 0.7], step_tol=tol
+        ).metadata["segments"]
+        for info in [*kernels, *segments]:
+            assert info["accepted_on"] in ("agreement", "estimate")
+            assert (info["residual"] < tol) == (info["accepted_on"] == "agreement")
+
+
 class TestFailedLadder:
     """A ladder that reaches its cap raises with the levels it tried."""
 
@@ -951,7 +997,8 @@ class TestMatvecWithFactoredResetJumps:
         assert np.max(np.abs(matvec - unvec(dense @ vec(joint), 8))) <= 1e-12
 
     def test_application_count_is_pinned(self, monkeypatch):
-        # the count before the actuator jumps were factored out: the
+        # the count before the actuator jumps were factored out, taken
+        # at the level the ladder accepts on its order estimate: the
         # norm bound, and so the pieces and terms, did not move
         gen, rho_a, rho0 = _open_matvec_model()
         gen = dataclasses.replace(gen, jumps_A=reset_jumps(rho_a, 1.0))
@@ -962,8 +1009,27 @@ class TestMatvecWithFactoredResetJumps:
         )
         traj = evolve_with_resets(gen, rho0, rho_a, ResetSchedule.uniform(2, 0.6), step_tol=1e-8)
         assert traj.metadata["path"] == "matvec"
-        assert traj.metadata["kernels"]["0.3"]["substeps"] == 32
-        assert len(calls) == 1394
+        assert traj.metadata["kernels"]["0.3"]["substeps"] == 16
+        assert len(calls) == 788
+
+    def test_kernel_builds_its_fused_forms_once(self, rng, monkeypatch):
+        gen, rho_a, _ = _open_matvec_model()
+        gen = dataclasses.replace(gen, jumps_A=reset_jumps(rho_a, 1.0))
+        fused = []
+        plus = generators._LindbladForm.plus
+        monkeypatch.setattr(
+            generators._LindbladForm, "plus", lambda *args: fused.append(1) or plus(*args)
+        )
+        kernel = _CycleKernel(gen, 0.3, 4, 2, rho_a.matrix, None)
+        assert len(fused) == 2 * kernel.substeps == 16
+        grid = _substep_grid(gen.g, 0.0, 1.0, 4, 2)
+        for _ in range(2):
+            rho_s = random_density(rng, 10)
+            joints = _sweep(gen, _MATVEC, 0.3, grid, np.kron(rho_s, rho_a.matrix))
+            expected = partial_trace_matrix(joints, (10, 2), keep=0)
+            assert np.array_equal(kernel.apply(rho_s), expected)
+        # the reference sweeps built theirs on the fly; the kernel none again
+        assert len(fused) == 16 + 2 * 16
 
 
 class TestMatvecSeriesUnderStrongReset:

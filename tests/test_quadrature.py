@@ -4,7 +4,7 @@ import pytest
 from resetctrl.analysis import omega1_super
 from resetctrl.generators import phi1_super, phi2_super
 from resetctrl.qcore import ConvergenceError
-from resetctrl.quadrature import integrate_operator, integrate_scalar
+from resetctrl.quadrature import _refine_doubling, integrate_operator, integrate_scalar
 from helpers import generic_qq
 
 
@@ -66,3 +66,48 @@ def test_no_node_count_above_cap():
     with pytest.raises(ConvergenceError):
         integrate_scalar(f, node_cap=16)
     assert len(nodes) == 8 + 16
+
+
+def _scripted_ladder(resids):
+    """A ladder whose level 2^(k+1) has residual ``resids[k]`` against the level before."""
+    return (lambda s: s), (lambda cur, prev: resids[cur.bit_length() - 2])
+
+
+def _accept(resids, tol, order):
+    run, distance = _scripted_ladder(resids)
+    _, s, _, _, rule = _refine_doubling(run, distance, 1, tol, 2 ** len(resids), "ladder", order)
+    return s, rule
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+def test_estimate_needs_the_ratio_in_the_band(order, shift):
+    # residuals fall by 2^(p + shift) per doubling, and tol sits between
+    # r(16) / (2^(p-1) - 1) and r(16): a ratio in the closed band
+    # [2^(p-1), 2^(p+1)] accepts level 16 on the estimate, one level
+    # before agreement; one outside it waits for agreement
+    resids = [2.0 ** (-(order + shift) * k) for k in range(10)]
+    tol = resids[3] / 2
+    assert _accept(resids, tol, None) == (32, "agreement")
+    expected = (16, "estimate") if abs(shift) <= 1 else (32, "agreement")
+    assert _accept(resids, tol, order) == expected
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_order_never_accepts_a_later_level(order):
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        # log2 ratios from below the band to above it, occasionally rising
+        resids = list(np.cumprod(2.0 ** -rng.uniform(-1.0, order + 3.0, size=12)))
+        tol = 10.0 ** rng.uniform(-12.0, -1.0)
+        try:
+            plain, _ = _accept(resids, tol, None)
+        except ConvergenceError:
+            continue
+        s, rule = _accept(resids, tol, order)
+        assert s <= plain
+        if rule == "agreement":
+            assert s == plain
+        else:
+            assert resids[s.bit_length() - 2] < (2.0 ** (order - 1) - 1.0) * tol
+
