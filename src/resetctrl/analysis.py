@@ -202,37 +202,25 @@ def chernoff_deviation(
     return induced_trace_norm(diff, gen.space_S.total_dim, probes)
 
 
-def omega1_super(
-    phi1: SuperOperator,
-    phi2: SuperOperator,
-    t: float,
-    nodes: int = 8,
-) -> SuperOperator:
+def omega1_super(phi1: SuperOperator, phi2: SuperOperator, t: float) -> SuperOperator:
     """First-order coefficient of the 1/n expansion of the cycle product.
 
-    Evaluates t^2 * integral over tau in [0,1] of
-    exp(Phi1 tau t) (Phi2 - Phi1^2 / 2) exp(Phi1 (1-tau) t)
-    by Gauss-Legendre quadrature with node doubling from ``nodes``, at
-    ``quadrature.integrate_operator``'s default tolerance and node cap.
+    The coefficient is t^2 * integral over tau in [0,1] of
+    exp(Phi1 tau t) (Phi2 - Phi1^2 / 2) exp(Phi1 (1-tau) t). With
+    A = Phi1 t and B = (Phi2 - Phi1^2 / 2) t, the upper-right block of
+    exp([[A, B], [0, A]]) is integral over s in [0,1] of
+    exp(A (1-s)) B exp(A s) (Van Loan, IEEE Trans. Autom. Control 23, 395
+    (1978)), so the coefficient is t times that block, from one matrix
+    exponential.
     """
     if phi1.space.total_dim != phi2.space.total_dim:
         raise ValueError("phi1 and phi2 must act on the same space")
-    if nodes < 2:
-        raise ValueError("nodes must be >= 2")
     side = phi1.matrix.shape[0]
-    if t == 0.0:
-        return SuperOperator(np.zeros((side, side), dtype=complex), phi1.space)
-    core = phi2.matrix - 0.5 * (phi1.matrix @ phi1.matrix)
-    if np.max(np.abs(core)) == 0.0:
-        return SuperOperator(np.zeros((side, side), dtype=complex), phi1.space)
-
-    def integrand(tau: float) -> np.ndarray:
-        left = mat_exp(phi1.matrix * (tau * t))
-        right = mat_exp(phi1.matrix * ((1.0 - tau) * t))
-        return left @ core @ right
-
-    integral = quadrature.integrate_operator(integrand, 0.0, 1.0, start_nodes=nodes)
-    return SuperOperator(t * t * integral, phi1.space)
+    a = phi1.matrix * t
+    block = np.zeros((2 * side, 2 * side), dtype=complex)
+    block[:side, :side] = block[side:, side:] = a
+    block[:side, side:] = (phi2.matrix - 0.5 * (phi1.matrix @ phi1.matrix)) * t
+    return SuperOperator(t * mat_exp(block)[:side, side:], phi1.space)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config_for(args.kind)
         if args.cutoff is not None:
+            if cfg.model.kind == "qubit_qubit":
+                raise ConfigError("--cutoff: a qubit_qubit model has no Fock cutoff")
             cfg = dataclasses.replace(
                 cfg, model=dataclasses.replace(cfg.model, cutoff=args.cutoff)
             )

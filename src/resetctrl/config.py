@@ -58,6 +58,10 @@ class ModelSpec:
     cutoff: int = 30
     switching: SwitchingSpec = field(default_factory=SwitchingSpec)
 
+    def __post_init__(self):
+        if self.kind not in ("oscillator_qubit", "qubit_qubit"):
+            raise ConfigError(f"model.kind: unknown kind {self.kind!r}")
+
     def build(self) -> tuple[models.OscillatorQubitModel, CycleGenerator]:
         g = self.switching.build()
         cutoff = 2 if self.kind == "qubit_qubit" else self.cutoff

@@ -376,8 +376,6 @@ def _sweep(
         cur, step = np.eye(gen.total_dim ** path.power, dtype=complex), operator.matmul
     else:
         cur, step = joint, lambda f, m: f(m)
-    if dt == 0.0:
-        return np.array([cur] * len(ends))
     if factors is None:
         factors = (path.factor(gen, zeta, dzeta, dt) for zeta, dzeta in zip(zetas, widths))
     out = []
@@ -502,7 +500,6 @@ def cycle_map(
     *,
     substeps: int | None = None,
     tol: float = DEFAULT_STEP_TOL,
-    substep_cap: int = DEFAULT_SUBSTEP_CAP,
 ) -> SuperOperator:
     """Reduced dynamical map on the system for one evolve-and-reset cycle.
 
@@ -532,7 +529,7 @@ def cycle_map(
         lambda a, b: float(np.max(np.abs(a - b))),
         start=1 if substeps is None else substeps,
         tol=tol if substeps is None else None,
-        cap=substep_cap,
+        cap=DEFAULT_SUBSTEP_CAP,
         what="cycle_map substep refinement",
         order=path.order,
     )
@@ -622,14 +619,19 @@ def _build_kernel(
     """
     path = _path(gen)
     actuator = _actuator_columns(rho_a) if path is _UNITARY else None
+    kernel = None
 
-    def run(s: int) -> tuple[_CycleKernel, list[np.ndarray]]:
+    # the ladder holds the probe samples of two levels, but only the kernel
+    # of the last level run, which is the one it accepts
+    def run(s: int) -> np.ndarray:
+        nonlocal kernel
+        kernel = None  # free the previous level's factors before building this one
         kernel = _CycleKernel(gen, gap, s, parts, rho_a, actuator, end)
-        return kernel, kernel.apply(probe)
+        return kernel.apply(probe)
 
-    (kernel, reduced), accepted, resid, history, rule = _refine_doubling(
+    reduced, accepted, resid, history, rule = _refine_doubling(
         run,
-        lambda a, b: trace_distance(a[1][-1], b[1][-1]),
+        lambda a, b: trace_distance(a[-1], b[-1]),
         start=1 if substeps is None else max(1, -(-substeps // parts)),
         tol=tol if substeps is None else None,
         cap=max(1, cap // parts),
@@ -719,7 +721,6 @@ def intra_cycle_trajectory(
     sample_points: Sequence[float],
     *,
     step_tol: float = DEFAULT_STEP_TOL,
-    substep_cap: int = DEFAULT_SUBSTEP_CAP,
 ) -> Trajectory:
     """Reduced system states at requested times inside a single cycle.
 
@@ -741,7 +742,8 @@ def intra_cycle_trajectory(
         reduced = rho_S.matrix
         if tau > 0.0:
             _, (reduced,), info = _build_kernel(
-                gen, dt, 1, rho_S.matrix, rho_A.matrix, None, step_tol, substep_cap, tau / dt
+                gen, dt, 1, rho_S.matrix, rho_A.matrix, None, step_tol,
+                DEFAULT_SUBSTEP_CAP, tau / dt,
             )
             seg_info.append({"to": tau, **info})
         states.append(_system_state(gen, reduced))

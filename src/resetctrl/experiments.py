@@ -295,7 +295,7 @@ def _run_strobe(cfg, model, gen):
 
 def _run_gradual(cfg, model, gen):
     rho_a, _, rho0 = _states(cfg, model)
-    kappas = cfg.experiment.gradual_kappas
+    kappas = sorted(cfg.experiment.gradual_kappas)
     _require_grid(kappas, 2, "experiment.gradual_kappas")
     t = cfg.experiment.gradual_time
     if t <= 0:

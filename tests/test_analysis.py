@@ -30,6 +30,7 @@ from resetctrl.qcore import (
     Operator,
     SuperOperator,
     dissipator_super,
+    mat_exp,
     trace_norm,
     unvec,
     vec,
@@ -193,6 +194,29 @@ class TestOmega1:
         half_sq = SuperOperator(0.5 * p1.matrix @ p1.matrix, p1.space)
         assert np.all(omega1_super(p1, half_sq, 2.0).matrix == 0)
 
+    @staticmethod
+    def _oracle(p1, p2, t, nodes=40):
+        """t^2 * integral of exp(Phi1 tau t) core exp(Phi1 (1 - tau) t) by a fixed Gauss rule."""
+        core = p2.matrix - 0.5 * p1.matrix @ p1.matrix
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        total = sum(
+            wi * mat_exp(p1.matrix * tau * t) @ core @ mat_exp(p1.matrix * (1.0 - tau) * t)
+            for tau, wi in zip(0.5 * (x + 1.0), 0.5 * w)
+        )
+        return t * t * total
+
+    @pytest.mark.parametrize("t", [0.3, 1.3])
+    @pytest.mark.parametrize("system_jumps", [False, True])
+    def test_matches_quadrature_oracle(self, t, system_jumps):
+        gen, rho_a = generic_qq()
+        if system_jumps:
+            gen = dataclasses.replace(
+                gen, jumps_S=(Operator(0.4 * (SIGMA_X - 1j * SIGMA_Y) / 2, QQ),)
+            )
+        p1, p2 = phi1_super(gen, rho_a), phi2_super(gen, rho_a)
+        got = omega1_super(p1, p2, t).matrix
+        assert np.max(np.abs(got - self._oracle(p1, p2, t))) <= 1e-13
+
     def test_trace_annihilating(self, rng):
         gen, rho_a = generic_qq()
         p1, p2 = phi1_super(gen, rho_a), phi2_super(gen, rho_a)
@@ -204,12 +228,6 @@ class TestOmega1:
         gen, rho_a = caption_qq()
         p1, p2 = phi1_super(gen, rho_a), phi2_super(gen, rho_a)
         assert np.max(np.abs(omega1_super(p1, p2, 1.0).matrix)) <= 1e-10
-
-    def test_node_validation(self):
-        gen, rho_a = generic_qq()
-        p1, p2 = phi1_super(gen, rho_a), phi2_super(gen, rho_a)
-        with pytest.raises(ValueError):
-            omega1_super(p1, p2, 1.0, nodes=1)
 
     def test_first_order_correction_improves_ladder(self):
         gen, rho_a = generic_qq()

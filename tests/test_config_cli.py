@@ -205,6 +205,42 @@ class TestCli:
         meta = json.loads((out / "gradual.meta.json").read_text())
         assert meta["monotone_decreasing"] is True
 
+    def test_gradual_unsorted_kappas_are_sorted(self, tmp_path):
+        cfg = dataclasses.replace(
+            qubit_defaults(),
+            experiment=dataclasses.replace(
+                qubit_defaults().experiment, gradual_kappas=(8.0, 4.0, 16.0, 32.0, 64.0)
+            ),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        out = tmp_path / "out"
+        assert main(["gradual", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        _, rows = read_csv(out / "gradual.csv")
+        assert [float(r[0]) for r in rows] == [4.0, 8.0, 16.0, 32.0, 64.0]
+        meta = json.loads((out / "gradual.meta.json").read_text())
+        assert meta["monotone_decreasing"] is True
+
+    def test_unknown_model_kind_exits_one(self, tmp_path, capsys):
+        data = json.loads(qubit_defaults().dumps())
+        data["model"]["kind"] = "qubit-qubit"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+        assert "config error: model.kind: " in capsys.readouterr().err
+        assert not (tmp_path / "simulate.csv").exists()
+
+    @pytest.mark.parametrize("kind, use_config", [("lie", False), ("effective", True)])
+    def test_cutoff_on_qubit_model_exits_one(self, tmp_path, capsys, kind, use_config):
+        args = [kind, "--cutoff", "13", "--out", str(tmp_path), "--quiet"]
+        if use_config:
+            path = tmp_path / "cfg.json"
+            path.write_text(qubit_defaults().dumps())
+            args += ["--config", str(path)]
+        assert main(args) == 1
+        assert "config error: --cutoff: " in capsys.readouterr().err
+        assert not (tmp_path / f"{kind}.csv").exists()
+
     def test_config_output_path_used_when_no_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = dataclasses.replace(

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -136,6 +137,24 @@ class TestCyclePropagator:
         one = cycle_propagator(static, 0.7, 1).matrix
         many = cycle_propagator(static, 0.7, 64).matrix
         assert np.max(np.abs(one - many)) <= 1e-11
+
+
+class TestZeroDuration:
+    """At dt = 0 every substep factor is an exact identity."""
+
+    def test_cycle_unitary_is_identity(self, rng):
+        gen, _ = random_closed_qq(rng)
+        np.testing.assert_array_equal(cycle_unitary(gen, 0.0, 4), np.eye(4))
+
+    def test_cycle_propagator_is_identity(self, rng):
+        gen, _ = random_open_qq(rng)
+        np.testing.assert_array_equal(cycle_propagator(gen, 0.0, 4).matrix, np.eye(16))
+
+    def test_matrix_free_sweep_returns_the_joint_state(self, rng):
+        gen, _ = random_open_qq(rng)
+        joint = random_density(rng, 4)
+        out = _sweep(gen, _MATVEC, 0.0, _substep_grid(gen.g, 0.0, 1.0, 3, 2), joint)
+        np.testing.assert_array_equal(out, np.array([joint, joint]))
 
 
 class TestCycleMap:
@@ -631,6 +650,36 @@ class TestEstimateAcceptance:
         for info in [*kernels, *segments]:
             assert info["accepted_on"] in ("agreement", "estimate")
             assert (info["residual"] < tol) == (info["accepted_on"] == "agreement")
+
+
+class TestLadderHoldsOneKernel:
+    """A kernel ladder drops each level's kernel before it builds the next."""
+
+    @pytest.mark.parametrize("make", [random_closed_qq, random_open_qq])
+    def test_no_kernel_alive_when_the_next_is_built(self, make, rng, monkeypatch):
+        gen, rho_a = make(rng)
+        gen = dataclasses.replace(gen, g=sin_squared(1.5))
+        rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
+        alive, seen = weakref.WeakSet(), []
+        init = _CycleKernel.__init__
+
+        def tracked(self, *args, **kwargs):
+            seen.append(len(alive))
+            init(self, *args, **kwargs)
+            alive.add(self)
+
+        monkeypatch.setattr(_CycleKernel, "__init__", tracked)
+        runs = (
+            lambda: intra_cycle_trajectory(gen, rho0, rho_a, 0.7, [0.7]).metadata["segments"],
+            lambda: evolve_with_resets(
+                gen, rho0, rho_a, ResetSchedule.uniform(2, 1.2)
+            ).metadata["kernels"].values(),
+        )
+        for run in runs:
+            seen.clear()
+            (info,) = run()
+            # one kernel per ladder level, each built with no other alive
+            assert seen == [0] * (len(info["ladder"]) + 1)
 
 
 class TestFailedLadder:

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from resetctrl.analysis import omega1_super
-from resetctrl.generators import phi1_super, phi2_super
 from resetctrl.qcore import ConvergenceError
 from resetctrl.quadrature import _refine_doubling, integrate_operator, integrate_scalar
-from helpers import generic_qq
 
 
 def test_polynomial():
@@ -47,13 +44,6 @@ def test_start_above_cap_is_non_convergence():
         integrate_scalar(np.cos, start_nodes=16, node_cap=8)
     with pytest.raises(ConvergenceError):
         integrate_operator(lambda z: z * np.eye(2), start_nodes=16, node_cap=8)
-
-
-def test_omega1_start_above_cap_is_non_convergence():
-    # the default node_cap of omega1_super is 4096
-    gen, rho_a = generic_qq()
-    with pytest.raises(ConvergenceError):
-        omega1_super(phi1_super(gen, rho_a), phi2_super(gen, rho_a), 1.0, nodes=8192)
 
 
 def test_no_node_count_above_cap():
