@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .dynamics import ResetSchedule, cycle_map, evolve_with_resets, intra_cycle_trajectory
+from .dynamics import (
+    DEFAULT_MAP_TOL,
+    DEFAULT_STEP_TOL,
+    ResetSchedule,
+    cycle_map,
+    evolve_with_resets,
+    intra_cycle_trajectory,
+)
 from .generators import (
     CycleGenerator,
     SwitchingFunction,
@@ -24,6 +31,7 @@ from .generators import (
     phi1_super,
 )
 from .qcore import (
+    TOL_HERM,
     DensityMatrix,
     Operator,
     SuperOperator,
@@ -41,7 +49,8 @@ FIT_ZERO_FLOOR = 1e-13
 DISSIPATIVE_EXACT_FLOOR = 1e-9
 # slack on the mid-cycle bound in stroboscopic_bound_check
 STROBE_BOUND_SLACK = 1e-9
-# absolute rank tolerance on unit-norm candidates in lie_algebra_dimension
+# absolute rank tolerance in lie_algebra_dimension, on commutators of
+# orthonormal directions
 LIE_TOL = 1e-9
 
 
@@ -161,7 +170,7 @@ def product_formula_superop(
     t: float,
     n: int,
     *,
-    map_tol: float = 1e-10,
+    map_tol: float = DEFAULT_MAP_TOL,
 ) -> SuperOperator:
     """The n-cycle reduced map: n-fold composition of the single-cycle map."""
     if n < 1:
@@ -177,7 +186,7 @@ def chernoff_deviation(
     n: int,
     *,
     probes=None,
-    map_tol: float = 1e-10,
+    map_tol: float = DEFAULT_MAP_TOL,
     first_order_correction: SuperOperator | None = None,
 ) -> float:
     """Distance between the n-cycle product and the effective exponential.
@@ -248,7 +257,7 @@ def dissipative_scaling(
     f_list,
     t_grid,
     *,
-    step_tol: float = 1e-9,
+    step_tol: float = DEFAULT_STEP_TOL,
 ) -> DissipativeScalingResult:
     """Measure the deviation from the effective trajectory against f.
 
@@ -334,7 +343,7 @@ def measured_stroboscopic_deviation(
     tau: float,
     dt: float,
     *,
-    step_tol: float = 1e-9,
+    step_tol: float = DEFAULT_STEP_TOL,
 ) -> Operator:
     """Measured counterpart: first-order effective state minus full state."""
     h_eff = effective_hamiltonian(gen, rho_A).matrix
@@ -359,41 +368,50 @@ def stroboscopic_bound_check(g: SwitchingFunction, tau: float, dt: float) -> boo
 def lie_algebra_dimension(generators) -> int:
     """Dimension of the real Lie algebra generated by {i H_k}.
 
-    A rank-revealing closure on anti-Hermitian matrices, viewed as real
-    vectors (Hilbert-Schmidt inner product). Each round takes the
-    commutators of the newest directions with the whole basis, drops those
-    of norm at most ``LIE_TOL``, normalizes the rest, projects the current
-    span out twice and adds the right singular vectors whose singular
-    values exceed ``LIE_TOL``. It stops when a round adds nothing.
+    A rank-revealing closure on Hermitian matrices under H, K -> i[H, K],
+    each held as the d^2 entries of Re H + Im H, isometric coordinates
+    (Hilbert-Schmidt) that never leave u(d). Each round takes the
+    commutators of the newest directions with the whole orthonormal basis
+    unnormalized (scaling a small one up to unit norm would scale its
+    roundoff with it), projects the basis out twice, drops residuals of
+    norm at most ``LIE_TOL`` and adds the right singular vectors whose
+    singular values exceed it. It stops when a round adds nothing or the
+    basis spans u(d).
     """
     mats = []
     for k, h in enumerate(generators):
         m = h.matrix if isinstance(h, Operator) else np.asarray(h, dtype=complex)
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
             raise ValueError(f"generator {k} is not Hermitian")
-        mats.append(1j * m)
+        mats.append(m)
     if not mats:
         return 0
     dim = mats[0].shape[0]
-    # orthonormal rows, each the real view (two floats per entry) of a matrix
-    basis = np.empty((0, 2 * dim * dim))
 
-    def extend(candidates: np.ndarray) -> np.ndarray:
+    def hermitian(v: np.ndarray) -> np.ndarray:
+        r = v.reshape(-1, dim, dim)
+        return (r + r.swapaxes(1, 2)) / 2 + 0.5j * (r - r.swapaxes(1, 2))
+
+    # orthonormal rows, each the coordinates of one Hermitian matrix
+    basis = np.empty((0, dim * dim))
+
+    def extend(h: np.ndarray) -> np.ndarray:
         nonlocal basis
-        v = candidates.reshape(-1, dim * dim).view(float)
-        norms = np.linalg.norm(v, axis=1)
-        v = v[norms > LIE_TOL] / norms[norms > LIE_TOL, None]
+        v = (h.real + h.imag).reshape(-1, dim * dim)
         for _ in range(2):
             v = v - (v @ basis.T) @ basis
+        v = v[np.linalg.norm(v, axis=1) > LIE_TOL]
         _, sv, vt = np.linalg.svd(v, full_matrices=False)
         new = vt[sv > LIE_TOL]
         basis = np.concatenate([basis, new])
-        return new.view(complex).reshape(-1, dim, dim)
+        return new
 
-    newest = extend(np.array(mats))
+    mats = np.array(mats)
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    newest = extend(mats[norms > LIE_TOL] / norms[norms > LIE_TOL, None, None])
     while len(newest) and len(basis) < dim * dim:
-        a, b = newest[:, None], basis.view(complex).reshape(-1, dim, dim)[None]
-        newest = extend(a @ b - b @ a)
+        a, b = hermitian(newest)[:, None], hermitian(basis)[None]
+        newest = extend(1j * (a @ b - b @ a))
     return len(basis)
 
 
@@ -443,7 +461,7 @@ def gradual_reset_deviation(
     kappa: float,
     t: float,
     *,
-    step_tol: float = 1e-9,
+    step_tol: float = DEFAULT_STEP_TOL,
 ) -> float:
     """Trace distance from the effective trajectory under damped resets.
 
@@ -466,7 +484,7 @@ def gradual_reset_scan(
     kappas,
     t: float,
     *,
-    step_tol: float = 1e-9,
+    step_tol: float = DEFAULT_STEP_TOL,
 ) -> tuple[float, ...]:
     return tuple(
         gradual_reset_deviation(gen, rho_A, rho_S0, k, t, step_tol=step_tol) for k in kappas

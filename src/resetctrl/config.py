@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators, models
+from .dynamics import DEFAULT_MAP_TOL, DEFAULT_STEP_TOL
 from .generators import CycleGenerator, SwitchingFunction
 from .qcore import DensityMatrix, HilbertSpace, Operator
 
@@ -74,7 +75,7 @@ class ModelSpec:
         return model, models.build_oscillator_qubit(model)
 
 
-def _parse_complex_matrix(data, what: str) -> np.ndarray:
+def _parse_complex_matrix(data) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
         if arr.ndim == 3 and arr.shape[2] == 2:
@@ -83,27 +84,18 @@ def _parse_complex_matrix(data, what: str) -> np.ndarray:
             return arr.astype(complex)
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"{what}: expected a matrix of numbers or [re, im] pairs")
+    raise ConfigError("states.initial_matrix: expected a matrix of numbers or [re, im] pairs")
 
 
 @dataclass(frozen=True)
 class StatesSpec:
-    rho_a_bloch: tuple[float, float, float] | None = (1.0, 0.0, 0.0)
-    rho_a_matrix: tuple | None = None
+    rho_a_bloch: tuple[float, float, float] = (1.0, 0.0, 0.0)
     initial_kind: str = "coherent"  # coherent | fock | matrix
     alpha: tuple[float, float] = (_INV_SQRT2, _INV_SQRT2)
     fock_index: int = 0
     initial_matrix: tuple | None = None
 
     def build_rho_a(self) -> DensityMatrix:
-        if self.rho_a_matrix is not None:
-            m = _parse_complex_matrix(self.rho_a_matrix, "states.rho_a_matrix")
-            try:
-                return DensityMatrix(Operator.from_matrix(m))
-            except ValueError as exc:
-                raise ConfigError(f"states.rho_a_matrix: {exc}") from exc
-        if self.rho_a_bloch is None:
-            raise ConfigError("states: need rho_a_bloch or rho_a_matrix")
         try:
             return models.bloch_density(self.rho_a_bloch)
         except (TypeError, ValueError) as exc:
@@ -128,7 +120,7 @@ class StatesSpec:
         if self.initial_kind == "matrix":
             if self.initial_matrix is None:
                 raise ConfigError("states.initial_matrix: required for initial_kind 'matrix'")
-            m = _parse_complex_matrix(self.initial_matrix, "states.initial_matrix")
+            m = _parse_complex_matrix(self.initial_matrix)
             try:
                 rho = DensityMatrix(Operator(m, space))
             except ValueError as exc:
@@ -164,8 +156,8 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class TolerancesSpec:
-    step_tol: float = 1e-9
-    map_tol: float = 1e-10
+    step_tol: float = DEFAULT_STEP_TOL
+    map_tol: float = DEFAULT_MAP_TOL
 
     def __post_init__(self):
         # no substep ladder can meet a zero or negative tolerance
@@ -186,7 +178,6 @@ class ExperimentSpec:
     strobe_tau_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     gradual_kappas: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0, 64.0)
     gradual_time: float = 2.0
-    lie_generators: tuple[str, ...] = ("sigma_z", "sigma_x")
 
 
 @dataclass(frozen=True)

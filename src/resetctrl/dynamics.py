@@ -101,6 +101,8 @@ from .qcore import (
 )
 
 DEFAULT_STEP_TOL = 1e-9
+# default tolerance of the single-cycle map that an n-cycle product composes
+DEFAULT_MAP_TOL = 1e-10
 DEFAULT_SUBSTEP_CAP = 2 ** 14
 SUPEROP_PATH_MAX_DIM = 16
 CUTOFF_POPULATION_LIMIT = 1e-6

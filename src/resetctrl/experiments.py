@@ -33,7 +33,7 @@ from .analysis import (
     braced_switching_term,
 )
 from .config import ConfigError, ExperimentConfig, default_config, qubit_defaults
-from .dynamics import ResetSchedule, evolve_with_resets
+from .dynamics import CUTOFF_POPULATION_LIMIT, ResetSchedule, evolve_with_resets
 from .generators import effective_hamiltonian
 from .models import SIGMA_X, SIGMA_Y, SIGMA_Z, number_operator, quadrature_p, quadrature_x
 from .qcore import fidelity_pure, trace_norm
@@ -87,7 +87,11 @@ def _states(cfg, model):
 
 
 def _reset_trajectory(cfg, gen, rho0, rho_a, f):
-    """Evolve-and-reset at rate f, snapped to whole cycles: (cycles, time, trajectory)."""
+    """Evolve-and-reset at rate f, snapped to whole cycles.
+
+    Returns (cycles, time, trajectory, violation), the last the Fock-cutoff
+    verdict: None, or the message of a tripped population flag.
+    """
     n, t_snap = cfg.schedule.snapped_cycles(f)
     traj = evolve_with_resets(
         gen,
@@ -98,7 +102,13 @@ def _reset_trajectory(cfg, gen, rho0, rho_a, f):
         samples_per_cycle=cfg.schedule.samples_per_cycle,
         monitor_top_levels=2 if cfg.model.kind == "oscillator_qubit" else None,
     )
-    return n, t_snap, traj
+    violation = None
+    if traj.metadata.get("cutoff_flag"):
+        violation = (
+            f"f={f}: top-two-level population {traj.metadata['top_level_max']:.3e} exceeds "
+            f"the limit {CUTOFF_POPULATION_LIMIT:.0e}; raise the cutoff"
+        )
+    return n, t_snap, traj, violation
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +144,7 @@ _QUBIT_OBSERVABLES = (("sx", SIGMA_X), ("sy", SIGMA_Y), ("sz", SIGMA_Z))
 def _run_simulate(cfg, model, gen):
     rho_a, psi0, rho0 = _states(cfg, model)
     f = cfg.schedule.f_list[0]
-    n, t_snap, traj = _reset_trajectory(cfg, gen, rho0, rho_a, f)
+    n, t_snap, traj, violation = _reset_trajectory(cfg, gen, rho0, rho_a, f)
     observables = _QUBIT_OBSERVABLES
     if cfg.model.kind == "oscillator_qubit":
         observables = _oscillator_observables(model.cutoff)
@@ -153,9 +163,6 @@ def _run_simulate(cfg, model, gen):
         ]
         rows.append((t, fid, state.purity(), *expectations))
     meta = {"f": f, "cycles": n, "snapped_time": t_snap, "trajectory": traj.metadata}
-    violation = None
-    if traj.metadata.get("cutoff_flag"):
-        violation = f"top-two-level population {traj.metadata['top_level_max']:.3e} exceeds limit"
     return _Result(header, rows, meta, violation=violation)
 
 
@@ -167,8 +174,9 @@ def _run_fig1(cfg, model, gen):
     rows = []
     per_f_meta = {}
     progress = []
+    violations = []
     for f in cfg.schedule.f_list:
-        n, t_snap, traj = _reset_trajectory(cfg, gen, rho0, rho_a, f)
+        n, t_snap, traj, violation = _reset_trajectory(cfg, gen, rho0, rho_a, f)
         for t, state in zip(traj.times, traj.states):
             rows.append((t, f, fidelity_pure(state, evolve_eff(t, psi0))))
         per_f_meta[str(f)] = {
@@ -178,15 +186,14 @@ def _run_fig1(cfg, model, gen):
             **traj.metadata,
         }
         progress.append((f, n))
-    violation = None
-    if any(m.get("cutoff_flag") for m in per_f_meta.values()):
-        violation = "Fock-cutoff population flag tripped; raise the cutoff"
+        if violation is not None:
+            violations.append(violation)
     return _Result(
         ("t", "f", "fidelity"),
         rows,
         {"per_f": per_f_meta},
         lambda: "\n".join(f"fig1: f={f} done ({n} cycles)" for f, n in progress),
-        violation,
+        "; ".join(violations) or None,
     )
 
 
@@ -310,32 +317,12 @@ def _run_gradual(cfg, model, gen):
     )
 
 
-_NAMED_GENERATORS = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
-
-
-def _parse_generator(name: str) -> np.ndarray:
-    total = None
-    for token in name.split("+"):
-        token = token.strip()
-        if token not in _NAMED_GENERATORS:
-            raise ConfigError(
-                f"experiment.lie_generators: unknown generator {token!r}; "
-                f"allowed: {sorted(_NAMED_GENERATORS)} joined with '+'"
-            )
-        term = _NAMED_GENERATORS[token]
-        total = term if total is None else total + term
-    if total is None:
-        raise ConfigError("experiment.lie_generators: empty generator name")
-    return total
-
-
 def _run_lie(cfg, model, gen):
-    names = cfg.experiment.lie_generators
-    dim = lie_algebra_dimension([_parse_generator(name) for name in names])
+    dim = lie_algebra_dimension([SIGMA_Z, SIGMA_X])
     return _Result(
         ("generators", "dimension"),
-        [("|".join(names), dim)],
-        {"generators": list(names), "dimension": dim},
+        [("sigma_z|sigma_x", dim)],
+        {"generators": ["sigma_z", "sigma_x"], "dimension": dim},
         lambda: f"lie: algebra dimension {dim}",
     )
 
@@ -363,9 +350,7 @@ KINDS = {
     "gradual": Kind(
         _run_gradual, "deviation under damped (non-instantaneous) actuator resets", True
     ),
-    "lie": Kind(
-        _run_lie, "dimension of the Lie algebra generated by a set of Hamiltonians", True
-    ),
+    "lie": Kind(_run_lie, "dimension of the Lie algebra generated by sigma_z and sigma_x", True),
 }
 
 

@@ -35,7 +35,7 @@ from resetctrl.qcore import (
     unvec,
     vec,
 )
-from resetctrl.models import SIGMA_X, SIGMA_Y, SIGMA_Z
+from resetctrl.models import SIGMA_X, SIGMA_Y, SIGMA_Z, number_operator, quadrature_x
 from helpers import (
     QQ,
     caption_qq,
@@ -421,6 +421,30 @@ class TestLieAlgebra:
                 gens = [random_hermitian(rng, d, scale=10.0 ** rng.uniform(-3, 3))
                         for _ in range(count)]
                 assert lie_algebra_dimension(gens) <= d * d
+
+
+def _oscillator_pair(cutoff):
+    return [number_operator(cutoff), quadrature_x(cutoff)]
+
+
+class TestLieAlgebraOnTheOscillator:
+    # {a^dag a, x} on the truncated oscillator; a closure that scales small
+    # commutators up to unit norm scales their roundoff with them, and from
+    # cutoff 9 on counts it as new directions (83 at cutoff 9, 287 at 12)
+
+    def test_generates_u_d_at_low_cutoffs(self):
+        for d in range(2, 11):
+            assert lie_algebra_dimension(_oscillator_pair(d)) == d * d
+
+    @pytest.mark.parametrize("d", [12, 13])
+    def test_never_exceeds_u_d(self, d):
+        assert lie_algebra_dimension(_oscillator_pair(d)) <= d * d
+
+    @pytest.mark.parametrize("d", [8, 11])
+    def test_doubled_blocks_keep_the_dimension(self, d):
+        # X -> diag(X, X) is a Lie-algebra isomorphism onto its image
+        doubled = [np.kron(np.eye(2), h) for h in _oscillator_pair(d)]
+        assert lie_algebra_dimension(doubled) == lie_algebra_dimension(_oscillator_pair(d))
 
 
 class TestGradualReset:

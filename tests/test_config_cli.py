@@ -63,18 +63,17 @@ class TestConfigRoundTrip:
     def test_default_hashes_are_pinned(self):
         # the canonical JSON, and so the hash, of both default configs
         assert default_config().config_hash() == (
-            "6d7df08eac429fb33813363283f66060b649190961baa1f1fcad63ae7720d684"
+            "1896456d2fe61dd38fbf5becad45bd858632cf44e68a97f1b19a8fdff2448dfb"
         )
         assert qubit_defaults().config_hash() == (
-            "306cb038ba53668e4205cfc95a554537c43ae9d707b2be80e83b3c87efde1132"
+            "d6875ea9bc0eea15c8b4dc29a4d53610416492596347ed934b35d206334109df"
         )
 
     def test_matrix_states_round_trip(self):
         cfg = ExperimentConfig(
             model=ModelSpec(kind="qubit_qubit", cutoff=2),
             states=StatesSpec(
-                rho_a_bloch=None,
-                rho_a_matrix=(((0.5, 0.0), (0.0, 0.2)), ((0.0, -0.2), (0.5, 0.0))),
+                rho_a_bloch=(0.0, -0.4, 0.0),
                 initial_kind="matrix",
                 initial_matrix=(((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0))),
             ),
@@ -252,9 +251,8 @@ class TestCli:
         assert (tmp_path / "from_cfg" / "lie.csv").exists()
 
     def test_missing_actuator_state(self):
-        cfg = ExperimentConfig.from_dict({"states": {"rho_a_bloch": None}})
-        with pytest.raises(ConfigError, match="rho_a"):
-            cfg.states.build_rho_a()
+        with pytest.raises(ConfigError, match="states.rho_a_bloch"):
+            ExperimentConfig.from_dict({"states": {"rho_a_bloch": None}})
 
     @pytest.mark.parametrize(
         "kind, section",
@@ -323,7 +321,7 @@ class TestCli:
             ("simulate", {"model": {"nu": "1"}}, "model.nu"),
             ("simulate", {"tolerances": {"step_tol": "1e-9"}}, "tolerances.step_tol"),
             ("simulate", {"states": {"alpha": [1, "x"]}}, "states.alpha"),
-            ("lie", {"experiment": {"lie_generators": [1]}}, "experiment.lie_generators"),
+            ("effective", {"states": {"rho_a_bloch": None}}, "states.rho_a_bloch"),
             ("simulate", {"schedule": {"total_time": True}}, "schedule.total_time"),
             ("effective", {"model": {"nu": float("nan")}}, "model.nu"),
             ("chernoff", {"experiment": {"chernoff_time": float("inf")}}, "experiment.chernoff_time"),
@@ -339,6 +337,24 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main([kind, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
         assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / f"{kind}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, section, field, value",
+        [
+            ("effective", "states", "rho_a_matrix", None),
+            ("lie", "experiment", "lie_generators", ["sigma_z", "sigma_x"]),
+        ],
+    )
+    def test_removed_field_exits_one_naming_it(self, tmp_path, capsys, kind, section, field, value):
+        # configs dumped before the actuator matrix and the Lie generator
+        # names left the schema carry these fields, at their old defaults
+        data = json.loads(qubit_defaults().dumps())
+        data[section][field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main([kind, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"config error: {section}: unknown fields ['{field}']" in capsys.readouterr().err
         assert not (tmp_path / f"{kind}.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
@@ -401,6 +417,23 @@ class TestCli:
         assert main(["fig1", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 3
         # outputs are still written so the offending run can be inspected
         assert (tmp_path / "fig1.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["simulate", "fig1"])
+    def test_cutoff_verdict_names_population_and_limit(self, tmp_path, capsys, kind):
+        cfg = dataclasses.replace(
+            default_config(),
+            model=dataclasses.replace(default_config().model, cutoff=13),
+            schedule=ScheduleSpec(f_list=(5.0,), total_time=2.0, samples_per_cycle=1),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        assert main([kind, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 3
+        meta = json.loads((tmp_path / f"{kind}.meta.json").read_text())
+        top = (meta["trajectory"] if kind == "simulate" else meta["per_f"]["5.0"])["top_level_max"]
+        assert capsys.readouterr().err == (
+            f"invariant violation: f=5.0: top-two-level population {top:.3e} exceeds "
+            "the limit 1e-06; raise the cutoff\n"
+        )
 
     def test_simulate_csv_schema(self, tmp_path):
         cfg = dataclasses.replace(
