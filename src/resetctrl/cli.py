@@ -1,8 +1,8 @@
 """Command-line entry point: one subcommand per experiment kind.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical
-non-convergence, 3 invariant violation (e.g. the Fock-cutoff
-population flag tripped).
+non-convergence or an input outside the numerical range, 3 invariant
+violation (e.g. the Fock-cutoff population flag tripped).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .experiments import KINDS, InvariantViolationError, default_config_for, run_experiment
-from .qcore import ConvergenceError
+from .qcore import ConvergenceError, NumericalRangeError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,6 +55,9 @@ def main(argv=None) -> int:
         return 1
     except ConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        return 2
+    except NumericalRangeError as exc:
+        print(f"numerical range error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -271,12 +271,14 @@ def _cf4_couplings(gen: CycleGenerator, zeta: float, dzeta: float) -> tuple[floa
 
 
 def _open_step_super(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) -> np.ndarray:
-    """CF4 superoperator factor for the substep of width ``dzeta`` centred at ``zeta``."""
+    """CF4 superoperator factor for the substep of width ``dzeta`` centred at ``zeta``.
+
+    Both exponents are exponentiated by one call on their stack.
+    """
     half = 0.5 * dzeta * dt
     l_free, l_sa = gen.free_super.matrix, gen.coupling_super.matrix
-    first, second = (
-        mat_exp(half * (l_free + c * l_sa)) for c in _cf4_couplings(gen, zeta, dzeta)
-    )
+    c = np.array(_cf4_couplings(gen, zeta, dzeta))
+    first, second = mat_exp(half * (l_free + c[:, None, None] * l_sa))
     return second @ first
 
 

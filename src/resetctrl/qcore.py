@@ -22,7 +22,6 @@ from dataclasses import dataclass, InitVar
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
@@ -33,6 +32,26 @@ FIDELITY_NORM_TOL = 1e-8
 # expm overflows double precision well before this; reject early with a
 # clear error instead of returning inf entries.
 _EXP_NORM_LIMIT = 700.0
+
+# Higham (2005), Table 2.3 and eq. (2.2): for the Padé degrees m = 3, 5, 7
+# and 9, the largest 1-norm theta_m at which the [m/m] approximant of exp
+# meets unit roundoff in double precision, and its coefficients b_0..b_m
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1,
+     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068e0,
+     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+      2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+)
+# the same for degree 13, the only degree used with scaling
+_THETA_13 = 5.371920351148152
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
 
 
 class NumericalRangeError(ValueError):
@@ -262,21 +281,60 @@ def _super_matrix(apply: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarr
     return np.ascontiguousarray(vec(apply(units)).swapaxes(-1, -2))
 
 
-def mat_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential for general (non-normal) complex matrices.
+def _pade_odd_even(a: np.ndarray, norm: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Odd part U, even part V of the Padé approximant chosen for ``norm``, and the squarings.
 
-    Uses scaling-and-squaring with Pade approximation via scipy. Raises
-    :class:`NumericalRangeError` when the input norm puts the result
-    outside double-precision range.
+    The [m/m] approximant of exp(a / 2^s) is (V - U)^-1 (V + U). Below
+    theta_9 the lowest degree m with norm <= theta_m is used unscaled;
+    above it, degree 13 on a / 2^s with the least s that brings the norm
+    to theta_13 or below.
+    """
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    for theta, b in _PADE:
+        if norm <= theta:
+            # sum_k b_{2k+1} A^{2k} and sum_k b_{2k} A^{2k} over k = 0 .. (m - 1) / 2
+            odd, even = b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2
+            power = a2
+            for k in range(4, len(b), 2):
+                power = power @ a2
+                odd += b[k + 1] * power
+                even += b[k] * power
+            return a @ odd, even, 0
+    squarings = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    scale = 0.5 ** squarings  # a power of two, so a and a2 scale exactly
+    a, a2 = a * scale, a2 * (scale * scale)
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b = _PADE_13
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    return u, v, squarings
+
+
+def mat_exp(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a general (non-normal) complex matrix, or of each of a stack.
+
+    Scaling and squaring with Padé approximants of degree 3, 5, 7, 9 or
+    13: Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Algorithm
+    2.3. A stack of shape (..., n, n) is exponentiated member by member,
+    with the degree and the number of squarings chosen from the largest
+    member 1-norm, so a member may be squared more often than alone.
+    Raises :class:`NumericalRangeError` when a member norm puts the
+    result outside double-precision range.
     """
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
+    norm = float(np.max(np.abs(m).sum(axis=-2), initial=0.0))
+    # a non-finite entry makes the norm non-finite, so only then are the entries scanned
+    if not math.isfinite(norm) and not np.all(np.isfinite(m)):
         raise ValueError("matrix exponential of non-finite input")
-    if m.size and np.linalg.norm(m, 1) > _EXP_NORM_LIMIT:
-        raise NumericalRangeError(
-            f"matrix 1-norm {np.linalg.norm(m, 1):.3e} exceeds exp range"
-        )
-    out = scipy.linalg.expm(m)
+    if norm > _EXP_NORM_LIMIT:
+        raise NumericalRangeError(f"matrix 1-norm {norm:.3e} exceeds exp range")
+    u, v, squarings = _pade_odd_even(m, norm)
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        out = out @ out
     if not np.all(np.isfinite(out)):
         raise NumericalRangeError("matrix exponential overflowed")
     return out

@@ -1,11 +1,16 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resetctrl
 from resetctrl import analysis
 from resetctrl.cli import main
 from resetctrl.config import (
@@ -399,6 +404,21 @@ class TestCli:
         tried = re.findall(r"\[(\d+), [0-9.e+-]+\]", err.split("ladder", 1)[1])
         assert [int(s) for s in tried] == [2 ** k for k in range(1, 15)]
 
+    def test_numerical_range_exit_code(self, tmp_path, capsys):
+        # a reset rate of 1e6 puts the damped Liouvillian's 1-norm beyond the
+        # exponential's range at the first ladder level
+        cfg = dataclasses.replace(
+            qubit_defaults(),
+            experiment=dataclasses.replace(qubit_defaults().experiment, gradual_kappas=(4.0, 1e6)),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.dumps())
+        assert main(["gradual", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical range error: matrix 1-norm")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "gradual.csv").exists()
+
     def test_cutoff_flag_exit_code(self, tmp_path):
         # cutoff 13 passes the coherent tail check but trips the
         # top-two-level population flag during evolution
@@ -557,3 +577,34 @@ class TestStdout:
                 "lie": "lie: algebra dimension 3\n",
             }[kind]
         assert stdout == expected
+
+
+class TestRuntimeNeedsNoScipy:
+    """scipy is a test dependency only: the package runs with it blocked."""
+
+    @staticmethod
+    def _python(code):
+        src = str(Path(resetctrl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_cli_runs_with_scipy_blocked(self, tmp_path):
+        done = self._python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from resetctrl.cli import main\n"
+            f"sys.exit(main(['gradual', '--quiet', '--out', {str(tmp_path)!r}]))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "gradual.csv").exists()
+
+    def test_import_loads_no_scipy(self):
+        done = self._python(
+            "import sys, resetctrl.cli\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

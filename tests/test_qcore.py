@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from resetctrl.analysis import gradual_reset_generator
+from resetctrl.generators import phi1_super, phi2_super
 from resetctrl.qcore import (
+    _EXP_NORM_LIMIT,
+    _PADE,
+    _THETA_13,
     DensityMatrix,
     HilbertSpace,
     NumericalRangeError,
@@ -22,7 +27,14 @@ from resetctrl.qcore import (
     unvec,
     vec,
 )
-from helpers import random_density, random_hermitian, random_matrix, random_pure, random_unitary
+from helpers import (
+    generic_qq,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    random_pure,
+    random_unitary,
+)
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,6 +149,76 @@ class TestMatExp:
         m = random_matrix(rng, 4)
         m *= min(1.0, 10.0 / np.linalg.norm(m, 2))
         np.testing.assert_allclose(mat_exp(m) @ mat_exp(-m), np.eye(4), atol=1e-10)
+
+
+def _exp_inputs(d=16):
+    """Named unit-1-norm inputs: random complex, Jordan-like, Liouvillian, Van Loan block.
+
+    The Jordan block (spread diagonal, unit superdiagonal) is conjugated by
+    a random unitary: it stays non-normal, but is not triangular, for which
+    scipy takes a separate route.
+    """
+    rng = np.random.default_rng(2005)
+    gen, rho_a = generic_qq()
+    jordan = np.diag(rng.normal(size=d)) + np.diag(np.ones(d - 1), 1)
+    q = random_unitary(rng, d)
+    p1, p2 = phi1_super(gen, rho_a).matrix, phi2_super(gen, rho_a).matrix
+    inputs = {
+        "random": random_matrix(rng, d),
+        "jordan": q @ jordan @ q.conj().T,
+        "liouvillian": gradual_reset_generator(gen, rho_a, 4.0).free_super.matrix,
+        "van_loan": np.block([[p1, p2 - 0.5 * p1 @ p1], [np.zeros_like(p1), p1]]),
+    }
+    return {name: m / np.linalg.norm(m, 1) for name, m in inputs.items()}
+
+
+def _rel_diff(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+# 1-norms on both sides of each Padé degree's theta_m, then two that need squaring
+_EXP_NORMS = [f * theta for theta, _ in _PADE for f in (0.99, 1.01)]
+_EXP_NORMS += [0.99 * _THETA_13, 1.01 * _THETA_13, 50.0, 600.0]
+
+
+class TestMatExpAgainstScipy:
+    @pytest.mark.parametrize("name", ["random", "jordan", "liouvillian", "van_loan"])
+    @pytest.mark.parametrize("norm", _EXP_NORMS)
+    def test_matches_scipy(self, name, norm):
+        from scipy.linalg import expm
+
+        m = norm * _exp_inputs()[name]
+        # the relative condition number of exp is at least the norm, so at
+        # 600 neither routine is good to 1e-14 (against a 40-digit reference
+        # this one errs by up to 3.4e-14 on these inputs, scipy by 3.8e-14);
+        # the comparison there is at norm times unit roundoff
+        tol = max(1e-14, norm * np.finfo(float).eps)
+        assert _rel_diff(mat_exp(m), expm(m)) <= tol
+
+    def test_stack_matches_members_alone(self):
+        inputs = _exp_inputs()
+        stack = np.stack([
+            0.01 * inputs["liouvillian"],
+            0.5 * inputs["random"],
+            3.0 * inputs["jordan"],
+            50.0 * inputs["liouvillian"],
+        ])
+        got = mat_exp(stack)
+        assert got.shape == stack.shape
+        for member, out in zip(stack, got):
+            assert _rel_diff(out, mat_exp(member)) <= 1e-14
+
+    def test_rejects_a_non_finite_member(self):
+        stack = np.zeros((3, 4, 4), dtype=complex)
+        stack[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite input"):
+            mat_exp(stack)
+
+    def test_rejects_a_member_over_the_limit(self):
+        stack = np.zeros((3, 4, 4), dtype=complex)
+        stack[2, 0, 0] = 1.01 * _EXP_NORM_LIMIT
+        with pytest.raises(NumericalRangeError, match="exceeds exp range"):
+            mat_exp(stack)
 
 
 class TestTraceNorm:
