@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .config import ConfigError, load_config
@@ -16,7 +17,9 @@ from .experiments import KINDS, InvariantViolationError, default_config_for, run
 from .qcore import ConvergenceError, NumericalRangeError
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared; callers only parse with it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument(

@@ -7,10 +7,14 @@ sixth order in the substep width: it samples the switching function at
 zeta and zeta -+ (sqrt(15)/10) dzeta, and because H(zeta) is affine in
 g(zeta) its exponent is a g-weighted sum of ten constant nested
 commutators (``CycleGenerator.magnus_basis``). The exponent is
-anti-Hermitian, so every factor is exactly unitary and costs one
-eigendecomposition. Open cycles use the two-exponential commutator-free
-Magnus-4 step (CF4; Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)),
-fourth order, at the two Gauss nodes zeta -+ (sqrt(3)/6) dzeta:
+anti-Hermitian, so every factor is exactly unitary. It is also block
+diagonal on the sectors of any parity H conserves at every zeta
+(``CycleGenerator.sectors``; two sectors of d/2 for the quantum Rabi
+form, one block otherwise), so a factor costs one eigendecomposition per
+sector, all in one stacked call. Open cycles use the two-exponential
+commutator-free Magnus-4 step (CF4; Blanes & Moan, Appl. Numer. Math.
+56, 1519 (2006)), fourth order, at the two Gauss nodes zeta -+
+(sqrt(3)/6) dzeta:
 exp((h/2)(L_free + c2 L_SA)) exp((h/2)(L_free + c1 L_SA)), with c1, c2
 real weightings of the two node values of g. Each exponent is half of
 L_free plus a real multiple of L_SA, so every factor is an exact channel
@@ -24,7 +28,9 @@ No substep straddles a discontinuity, so a piecewise-smooth g keeps the
 full order, and a piecewise-constant g is propagated exactly.
 
 Three execution paths exist, and ``_path`` chooses between them: a
-closed generator propagates the joint unitary; an open one with joint
+closed generator propagates the joint unitary, as a stack of its sector
+blocks that is scattered into the joint matrix only where a sample is
+cut; an open one with joint
 dimension up to ``SUPEROP_PATH_MAX_DIM`` the dense superoperator; a
 larger open one steps the joint state with matrix-free exponentials and
 never materializes a superoperator. Each CF4 exponent there is one fused
@@ -90,6 +96,7 @@ from .qcore import (
     DensityMatrix,
     Operator,
     SuperOperator,
+    _check_density,
     _hstack,
     _kraus_apply,
     expm_hermitian,
@@ -224,8 +231,9 @@ def _closed_step(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) -> n
     b2 = (sqrt(15)/3)(g_3 - g_1) and b3 = (10/3)(g_3 - 2 g_2 + g_1), and
     expanding the commutators gives i Omega = sum_j w_j B_j over the rows
     B_j of ``gen.magnus_basis``, with the real weights w_j below. i Omega
-    is Hermitian, so the factor exp(Omega) is exactly unitary and costs
-    one eigendecomposition.
+    is Hermitian, so the factor exp(Omega) is exactly unitary. It is
+    returned as the stack of its blocks on ``gen.sectors``, one
+    eigendecomposition per sector, all in one call.
     """
     h = dzeta * dt
     g1 = gen.g(zeta - _GAUSS3_OFFSET * dzeta)
@@ -248,8 +256,8 @@ def _closed_step(gen: CycleGenerator, zeta: float, dzeta: float, dt: float) -> n
         -h5 * b2 * b2 / 14400.0,
         -h5 * b2 * b2 * g2 / 14400.0,
     ))
-    d = gen.total_dim
-    return expm_hermitian((weights @ gen.magnus_basis).view(complex).reshape(d, d), -1j)
+    m = gen.sectors.shape[1]
+    return expm_hermitian((weights @ gen.magnus_sector_basis).view(complex).reshape(-1, m, m), -1j)
 
 
 def _cf4_couplings(gen: CycleGenerator, zeta: float, dzeta: float) -> tuple[float, float]:
@@ -334,22 +342,21 @@ def _expmv(
 class _Path:
     """One representation of the substep factors of a cycle.
 
-    ``factor(gen, zeta, dzeta, dt)`` builds the factor of one substep. A
-    dense factor is a square matrix of side d ** ``power`` for joint
-    dimension d; a matrix-free one is a map on joint states and has no
-    power. ``order`` is the order of the substep rule in the substep
-    width, which the substep ladder uses for its error estimate.
+    ``factor(gen, zeta, dzeta, dt)`` builds the factor of one substep:
+    the stacked sector blocks of a joint unitary, a joint superoperator
+    matrix, or a map on joint states. ``order`` is the order of the
+    substep rule in the substep width, which the substep ladder uses for
+    its error estimate.
     """
 
     name: str
     factor: Callable
-    power: int | None
     order: int
 
 
-_UNITARY = _Path("unitary", _closed_step, 1, 6)
-_SUPEROP = _Path("superop", _open_step_super, 2, 4)
-_MATVEC = _Path("matvec", _open_step_matvec, None, 4)
+_UNITARY = _Path("unitary", _closed_step, 6)
+_SUPEROP = _Path("superop", _open_step_super, 4)
+_MATVEC = _Path("matvec", _open_step_matvec, 4)
 
 
 def _path(gen: CycleGenerator) -> _Path:
@@ -370,28 +377,37 @@ def _sweep(
     """Run the substep factors of ``grid`` in order; return the values at the part ends, stacked.
 
     Without ``joint`` the dense factors are left-multiplied into partial
-    products, starting from the identity; with it every matrix-free
-    factor acts on the joint state in turn. ``factors`` are the factors
-    of ``grid`` if the caller holds them already; otherwise each is
-    built as it is needed.
+    products, starting from the first factor; with it every matrix-free
+    factor acts on the joint state in turn. The closed partial products
+    are kept as stacks of sector blocks (``_closed_step``) and scattered
+    into joint unitaries once, at the part ends. ``factors`` are the
+    factors of ``grid`` if the caller holds them already; otherwise each
+    is built as it is needed.
     """
     zetas, widths, ends = grid
-    if joint is None:
-        cur, step = np.eye(gen.total_dim ** path.power, dtype=complex), operator.matmul
-    else:
-        cur, step = joint, lambda f, m: f(m)
+    step = operator.matmul if joint is None else lambda f, m: f(m)
     if factors is None:
         factors = (path.factor(gen, zeta, dzeta, dt) for zeta, dzeta in zip(zetas, widths))
-    out = []
+    cur, out = joint, []
     for k, factor in enumerate(factors, start=1):
-        cur = step(factor, cur)
+        cur = factor if cur is None else step(factor, cur)
         if k in ends:
             out.append(cur)
-    return np.array(out)
+    return _scatter(gen.sectors, np.array(out)) if path is _UNITARY else np.array(out)
 
 
-def _system_state(gen: CycleGenerator, m: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(Operator(m, gen.space_S), **_STATE_TOLS)
+def _scatter(sectors: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Joint matrices from their stacked blocks (..., k, m, m) on the k rows of ``sectors``."""
+    d = sectors.size
+    out = np.zeros(blocks.shape[:-3] + (d, d), dtype=blocks.dtype)
+    out[..., sectors[:, :, None], sectors[:, None, :]] = blocks
+    return out
+
+
+def _system_states(gen: CycleGenerator, stack: np.ndarray) -> list[DensityMatrix]:
+    """Check a stack of system states in one call, then wrap each unchecked."""
+    _check_density(stack, **_STATE_TOLS)
+    return [DensityMatrix(Operator(m, gen.space_S), validate=False) for m in stack]
 
 
 def _check_states(gen: CycleGenerator, rho_S: DensityMatrix, rho_A: DensityMatrix):
@@ -695,18 +711,21 @@ def evolve_with_resets(
                 substeps, step_tol, substep_cap,
             )
         applies[key] = applies.get(key, 0) + 1
-        for frac, reduced in zip(fractions, samples):
-            times.append(start + frac * gap)
-            states.append(_system_state(gen, reduced))
-            if monitor_top_levels:
-                pops = np.real(np.diag(reduced))
-                top_level_max = max(top_level_max, float(np.sum(pops[-monitor_top_levels:])))
+        times += [start + frac * gap for frac in fractions]
+        states += _system_states(gen, samples)
+        if monitor_top_levels:
+            pops = np.real(np.diagonal(samples, axis1=-2, axis2=-1))[:, -monitor_top_levels:]
+            top_level_max = max(top_level_max, float(np.max(np.sum(pops, axis=-1))))
         rho_s = states[-1].matrix
 
+    path = _path(gen)
+    n_blocks, size = gen.sectors.shape if path is _UNITARY else (1, gen.total_dim)
     metadata = {
         "resets": schedule.n_resets,
         "samples_per_cycle": samples_per_cycle,
-        "path": _path(gen).name,
+        "path": path.name,
+        # sizes of the joint blocks propagated apart
+        "sectors": [int(size)] * n_blocks,
         "kernels": {str(k): v for k, v in sorted(kernel_info.items())},
         # cycles served by each kernel: its cache hits plus one
         "kernel_applies": {str(k): v for k, v in sorted(applies.items())},
@@ -741,7 +760,7 @@ def intra_cycle_trajectory(
     if pts[0] < 0.0 or pts[-1] > dt * (1 + 1e-12):
         raise ValueError(f"sample points must lie in [0, {dt}]")
 
-    states, seg_info = [], []
+    samples, seg_info = [], []
     for tau in pts:
         reduced = rho_S.matrix
         if tau > 0.0:
@@ -750,6 +769,7 @@ def intra_cycle_trajectory(
                 DEFAULT_SUBSTEP_CAP, tau / dt,
             )
             seg_info.append({"to": tau, **info})
-        states.append(_system_state(gen, reduced))
+        samples.append(reduced)
 
+    states = _system_states(gen, np.array(samples))
     return Trajectory(np.array(pts), states, {"segments": seg_info, "cycle_dt": dt})

@@ -196,6 +196,41 @@ class CycleGenerator:
             rows.append((0.5 * (b + b.conj().T)).ravel())
         return np.ascontiguousarray(rows).view(float)
 
+    @cached_property
+    def sectors(self) -> np.ndarray:
+        """Joint indices of the blocks every Magnus-6 exponent keeps apart, one row per block.
+
+        The blocks are the connected components of the nonzero pattern of
+        the ``magnus_basis`` rows, tested for exact zeros: nested
+        commutators of operators that conserve a parity are exactly zero
+        between its sectors, so no tolerance is needed. The quantum Rabi
+        form (n = x) gives two sectors of d/2. Only a split into blocks of
+        equal size is kept, so that they stack; any other pattern is one
+        block of all indices, in order.
+        """
+        d = self.total_dim
+        reach = np.any(self.magnus_basis.reshape(-1, d, d, 2) != 0, axis=(0, 3))
+        reach |= np.eye(d, dtype=bool)
+        while not np.array_equal(grown := reach @ reach, reach):
+            reach = grown
+        blocks = np.unique(reach, axis=0)
+        if len(set(blocks.sum(axis=1))) > 1:
+            return np.arange(d)[None]
+        return np.array([np.flatnonzero(b) for b in blocks])
+
+    @cached_property
+    def magnus_sector_basis(self) -> np.ndarray:
+        """``magnus_basis`` restricted to the ``sectors`` blocks, in the same real view.
+
+        A real combination of the rows is the stack of the blocks of the
+        combination, (k, m, m) for k sectors of m indices.
+        """
+        d = self.total_dim
+        rows = self.magnus_basis.view(complex).reshape(-1, d, d)
+        i = self.sectors
+        blocks = rows[:, i[:, :, None], i[:, None, :]]
+        return np.ascontiguousarray(blocks).reshape(len(rows), -1).view(float)
+
     def hamiltonian_at(self, zeta: float) -> np.ndarray:
         return self.h_free_full + self.g(zeta) * self.h_SA.matrix
 

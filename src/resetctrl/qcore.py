@@ -152,26 +152,8 @@ class DensityMatrix:
     tol_psd: InitVar[float] = TOL_PSD
 
     def __post_init__(self, validate, tol_herm, tol_trace, tol_psd):
-        if not validate:
-            return
-        m = self.op.matrix
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > tol_herm:
-            raise ValueError(f"not Hermitian: max asymmetry {herm:.3e} > {tol_herm:.1e}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > tol_trace:
-            raise ValueError(f"trace {tr:.12g} deviates from 1 beyond {tol_trace:.1e}")
-        # the Hermitian part plus tol_psd 1 has a Cholesky factor exactly when
-        # its minimum eigenvalue exceeds -tol_psd; eigenvalues are computed
-        # only to report a failure
-        shifted = 0.5 * (m + m.conj().T)
-        shifted.flat[:: m.shape[0] + 1] += tol_psd
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.min(np.linalg.eigvalsh(shifted))) - tol_psd
-            if min_eig < -tol_psd:
-                raise ValueError(f"minimum eigenvalue {min_eig:.3e} < -{tol_psd:.1e}") from None
+        if validate:
+            _check_density(self.op.matrix[None], tol_herm, tol_trace, tol_psd)
 
     @classmethod
     def from_matrix(cls, matrix, dims: Sequence[int] | None = None, **tols) -> "DensityMatrix":
@@ -193,6 +175,41 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
+
+
+def _check_density(m: np.ndarray, tol_herm: float, tol_trace: float, tol_psd: float):
+    """Raise ValueError unless every matrix of the stack (n, d, d) is a valid state.
+
+    Hermiticity, unit trace and positivity are each reduced over the
+    whole stack at once; only a failure is traced back to the first
+    failing member, whose numbers the message gives, as for a single
+    ``DensityMatrix``.
+    """
+    m_dag = m.conj().swapaxes(-1, -2)
+    asym = np.abs(m - m_dag)
+    if asym.max() > tol_herm:
+        herm = asym.max(axis=(-2, -1))
+        k = np.argmax(herm > tol_herm)
+        raise ValueError(f"not Hermitian: max asymmetry {herm[k]:.3e} > {tol_herm:.1e}")
+    tr = m.trace(axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if off.max() > tol_trace:
+        k = np.argmax(off > tol_trace)
+        raise ValueError(f"trace {tr[k]:.12g} deviates from 1 beyond {tol_trace:.1e}")
+    # the Hermitian part plus tol_psd 1 has a Cholesky factor exactly when
+    # its minimum eigenvalue exceeds -tol_psd; eigenvalues are computed
+    # only to report a failure
+    shifted = m + m_dag
+    shifted *= 0.5
+    diagonal = np.einsum("...ii->...i", shifted)  # a writable view
+    diagonal += tol_psd
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        min_eig = np.min(np.linalg.eigvalsh(shifted), axis=-1) - tol_psd
+        if np.any(min_eig < -tol_psd):
+            k = np.argmax(min_eig < -tol_psd)
+            raise ValueError(f"minimum eigenvalue {min_eig[k]:.3e} < -{tol_psd:.1e}") from None
 
 
 @dataclass(frozen=True)
@@ -341,9 +358,9 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
 
 
 def expm_hermitian(h: np.ndarray, factor: complex = 1.0) -> np.ndarray:
-    """exp(factor * h) for Hermitian h via spectral decomposition."""
+    """exp(factor * h) for Hermitian h, or each of a stack, via spectral decomposition."""
     energies, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(factor * energies)) @ vecs.conj().T
+    return (vecs * np.exp(factor * energies)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -608,3 +608,27 @@ class TestRuntimeNeedsNoScipy:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+def test_parser_is_built_once():
+    from resetctrl.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # parsing leaves the shared parser as it was
+    assert build_parser().parse_args(["fig1", "--quiet"]).kind == "fig1"
+    assert build_parser().parse_args(["simulate"]).quiet is False
+
+
+def test_effective_reference_is_evolved_for_all_times_at_once(rng):
+    from resetctrl.experiments import _effective_evolver
+    from resetctrl.qcore import expm_hermitian
+
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = a + a.conj().T
+    psi0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi0 /= np.linalg.norm(psi0)
+    times = np.array([0.0, 0.3, 1.7, 4.0])
+    got = _effective_evolver(h, times, psi0)
+    assert got.shape == (4, 6)
+    for row, t in zip(got, times):
+        assert np.max(np.abs(row - expm_hermitian(h, -1j * t) @ psi0)) <= 1e-13

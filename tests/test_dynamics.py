@@ -1180,6 +1180,68 @@ class TestOpenFactorsAreChannels:
             assert (min(c1, c2) >= 0.0) == inside
 
 
+def _one_block(gen):
+    """A copy of ``gen`` whose closed path runs the joint space as one block."""
+    ref = dataclasses.replace(gen)
+    ref.__dict__["sectors"] = np.arange(gen.total_dim)[None]
+    return ref
+
+
+def _rabi(cutoff, n_vec=(1.0, 0.0, 0.0)):
+    return dataclasses.replace(default_config().model, cutoff=cutoff, n_vec=n_vec).build()[1]
+
+
+class TestParitySectorPath:
+    RHO_A = (0.6, 0.0, 0.5)
+
+    @pytest.mark.parametrize("cutoff", [8, 30])
+    def test_cycle_unitary_matches_one_block(self, cutoff):
+        gen = _rabi(cutoff)
+        assert gen.sectors.shape == (2, cutoff)
+        got = cycle_unitary(gen, 0.1, 8)
+        want = cycle_unitary(_one_block(gen), 0.1, 8)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", [8, 30])
+    def test_cycle_map_matches_one_block(self, cutoff):
+        gen, rho_a = _rabi(cutoff), bloch_density(self.RHO_A)
+        got = cycle_map(gen, rho_a, 0.1, substeps=8).matrix
+        want = cycle_map(_one_block(gen), rho_a, 0.1, substeps=8).matrix
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_closed_step_is_a_stack_of_unitary_sector_blocks(self):
+        gen = _rabi(8)
+        step = _closed_step(gen, 0.3, 0.1, 0.2)
+        assert step.shape == (2, 8, 8)
+        for block in step:
+            assert np.max(np.abs(block @ block.conj().T - np.eye(8))) <= 1e-13
+        (whole,) = _closed_step(_one_block(gen), 0.3, 0.1, 0.2)
+        for block, row in zip(step, gen.sectors):
+            assert np.max(np.abs(block - whole[np.ix_(row, row)])) <= 1e-13
+
+    def test_partial_products_vanish_across_sectors(self):
+        gen = _rabi(8)
+        partials = _sweep(gen, _path(gen), 0.1, _substep_grid(gen.g, 0.0, 1.0, 2, 4))
+        assert partials.shape == (4, 16, 16)
+        a, b = gen.sectors
+        assert np.all(partials[:, a[:, None], b[None, :]] == 0)
+        assert np.all(partials[:, b[:, None], a[None, :]] == 0)
+
+    def test_trajectory_metadata_gives_the_sector_sizes(self, rng):
+        schedule = ResetSchedule.uniform(2, 0.2)
+        rho0 = DensityMatrix.pure(random_pure(rng, 8), (8,))
+        rho_a = bloch_density(self.RHO_A)
+        sizes = [
+            evolve_with_resets(gen, rho0, rho_a, schedule, substeps=2).metadata["sectors"]
+            for gen in (_rabi(8), _rabi(8, (0.8, 0.0, 0.6)))
+        ]
+        assert sizes == [[8, 8], [16]]
+        gen, rho_a = random_open_qq(rng)
+        rho0 = DensityMatrix.pure(random_pure(rng, 2), (2,))
+        traj = evolve_with_resets(gen, rho0, rho_a, schedule, substeps=2)
+        assert traj.metadata["sectors"] == [4]
+
+
 def test_trajectory_validation():
     state = DensityMatrix.from_matrix(np.eye(2) / 2)
     with pytest.raises(ValueError):

@@ -528,3 +528,70 @@ class TestSwitchingProperties:
         h1 = effective_hamiltonian(gen, DensityMatrix.from_matrix(r1)).matrix
         h2 = effective_hamiltonian(gen, DensityMatrix.from_matrix(r2)).matrix
         np.testing.assert_allclose(h_mix, lam * h1 + (1 - lam) * h2, atol=1e-12)
+
+
+def _oscillator_gen(cutoff, n_vec=(1.0, 0.0, 0.0)):
+    model = dataclasses.replace(default_config().model, cutoff=cutoff, n_vec=n_vec)
+    return model.build()[1]
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("cutoff", [2, 8, 30])
+    def test_rabi_form_has_two_sectors_of_cutoff(self, cutoff):
+        sectors = _oscillator_gen(cutoff).sectors
+        assert sectors.shape == (2, cutoff)
+        assert np.array_equal(np.sort(sectors.ravel()), np.arange(2 * cutoff))
+        # the parity (-1)^n sigma_z of joint index 2n + s is constant on a sector
+        parity = [(-1) ** (i // 2) * (1 - 2 * (i % 2)) for i in range(2 * cutoff)]
+        for row in sectors:
+            assert len({parity[i] for i in row}) == 1
+
+    def test_qubit_defaults_split_two_plus_two(self):
+        from resetctrl.config import qubit_defaults
+
+        _, gen = qubit_defaults().model.build()
+        assert gen.sectors.shape == (2, 2)
+
+    def test_z_component_in_the_coupling_leaves_one_block(self):
+        gen = _oscillator_gen(8, (0.8, 0.0, 0.6))
+        assert np.array_equal(gen.sectors, np.arange(16)[None])
+
+    def test_random_generator_is_one_block(self, rng):
+        gen, _ = random_closed_qq(rng)
+        assert np.array_equal(gen.sectors, np.arange(4)[None])
+
+    def test_unequal_components_are_one_block(self):
+        # sigma_z on both qubits and a coupling |00><11| + h.c.: components
+        # {0, 3}, {1}, {2}, which do not stack
+        h_sa = np.zeros((4, 4), dtype=complex)
+        h_sa[0, 3] = h_sa[3, 0] = 1.0
+        gen = CycleGenerator(
+            space_S=QQ, space_A=QQ,
+            h_S=Operator(SIGMA_Z, QQ), h_A=Operator(0.5 * SIGMA_Z, QQ),
+            h_SA=Operator(h_sa, QQ.tensor(QQ)), g=constant(1.0),
+        )
+        assert np.array_equal(gen.sectors, np.arange(4)[None])
+
+    @pytest.mark.parametrize("cutoff", [2, 8, 30])
+    def test_every_basis_row_is_exactly_zero_across_sectors(self, cutoff):
+        gen = _oscillator_gen(cutoff)
+        d = gen.total_dim
+        label = np.empty(d, dtype=int)
+        for k, row in enumerate(gen.sectors):
+            label[row] = k
+        across = label[:, None] != label[None, :]
+        rows = gen.magnus_basis.view(complex).reshape(-1, d, d)
+        assert across.any()
+        assert np.all(rows[:, across] == 0)
+
+    def test_sector_basis_holds_the_diagonal_blocks(self, rng):
+        gen = _oscillator_gen(8)
+        w = rng.normal(size=len(gen.magnus_basis))
+        full = (w @ gen.magnus_basis).view(complex).reshape(16, 16)
+        blocks = (w @ gen.magnus_sector_basis).view(complex).reshape(2, 8, 8)
+        for block, row in zip(blocks, gen.sectors):
+            assert np.array_equal(block, full[np.ix_(row, row)])
+
+    def test_detection_is_lazy(self):
+        gen = _oscillator_gen(8)
+        assert "sectors" not in gen.__dict__ and "magnus_basis" not in gen.__dict__

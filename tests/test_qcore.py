@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,11 +10,15 @@ from resetctrl.qcore import (
     _EXP_NORM_LIMIT,
     _PADE,
     _THETA_13,
+    TOL_HERM,
+    TOL_PSD,
+    TOL_TRACE,
     DensityMatrix,
     HilbertSpace,
     NumericalRangeError,
     Operator,
     SuperOperator,
+    _check_density,
     _hstack,
     _super_matrix,
     choi_matrix,
@@ -515,3 +521,49 @@ class TestSuperMatrix:
         got = _super_matrix(self._dense_map(s, 3), 3)
         assert got.shape == (2, 9, 9) and got.flags.c_contiguous
         assert np.array_equal(got, s)
+
+
+class TestDensityStackCheck:
+    TOLS = (TOL_HERM, TOL_TRACE, TOL_PSD)
+
+    @staticmethod
+    def _bad(kind, rng):
+        m = random_density(rng, 3)
+        if kind == "hermitian":
+            m[0, 1] += 0.1
+        elif kind == "trace":
+            m = 1.5 * m
+        else:
+            m = np.diag([1.2, -0.2, 0.0]).astype(complex)
+        return m
+
+    def test_valid_stack_passes(self, rng):
+        _check_density(np.array([random_density(rng, 3) for _ in range(5)]), *self.TOLS)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "trace", "positivity"])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_one_bad_member_raises_its_own_message(self, rng, kind, position):
+        stack = np.array([random_density(rng, 3) for _ in range(5)])
+        stack[position] = self._bad(kind, rng)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix.from_matrix(stack[position])
+        with pytest.raises(ValueError) as stacked:
+            _check_density(stack, *self.TOLS)
+        assert str(stacked.value) == str(single.value)
+
+    def test_first_failing_member_is_named(self, rng):
+        stack = np.array([random_density(rng, 3) for _ in range(4)])
+        stack[1] *= 1.5
+        stack[3] *= 2.0
+        with pytest.raises(ValueError) as single:
+            DensityMatrix.from_matrix(stack[1])
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
+            _check_density(stack, *self.TOLS)
+
+
+def test_expm_hermitian_takes_a_stack(rng):
+    hs = np.array([random_hermitian(rng, 5) for _ in range(3)])
+    got = expm_hermitian(hs, -0.7j)
+    assert got.shape == (3, 5, 5)
+    for g, h in zip(got, hs):
+        assert np.max(np.abs(g - expm_hermitian(h, -0.7j))) <= 1e-14
