@@ -18,6 +18,7 @@ from .dynamics import (
     DEFAULT_MAP_TOL,
     DEFAULT_STEP_TOL,
     ResetSchedule,
+    _check_states,
     cycle_map,
     evolve_with_resets,
     intra_cycle_trajectory,
@@ -236,6 +237,12 @@ def omega1_super(phi1: SuperOperator, phi2: SuperOperator, t: float) -> SuperOpe
 # dissipative error scaling
 
 
+def _effective_evolver(h_eff: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """exp(-i h_eff t) psi0 for every t of ``times``, one row each, in one product."""
+    energies, vecs = np.linalg.eigh(h_eff)
+    return (np.exp(-1j * np.outer(times, energies)) * (vecs.conj().T @ psi0)) @ vecs.T
+
+
 @dataclass(frozen=True)
 class FrequencyScan:
     f: float
@@ -280,12 +287,12 @@ def dissipative_scaling(
         n_max = cycle_counts[-1]
         schedule = ResetSchedule.uniform(n_max, n_max / f)
         traj = evolve_with_resets(gen, rho0, rho_A, schedule, step_tol=step_tol)
-        times, devs = [], []
-        for n in cycle_counts:
-            t_snap = n / f
-            psi_t = expm_hermitian(h_eff, -1j * t_snap) @ psi0
-            devs.append(trace_distance(traj.states[n].matrix, np.outer(psi_t, psi_t.conj())))
-            times.append(t_snap)
+        times = [n / f for n in cycle_counts]
+        refs = _effective_evolver(h_eff, np.array(times), psi0)
+        devs = [
+            trace_distance(traj.states[n].matrix, np.outer(psi_t, psi_t.conj()))
+            for n, psi_t in zip(cycle_counts, refs)
+        ]
         scans.append(FrequencyScan(f, tuple(times), tuple(devs), linear_fit(times, devs)))
 
     slopes = [scan.fit.slope for scan in scans]
@@ -454,29 +461,6 @@ def gradual_reset_generator(
     )
 
 
-def gradual_reset_deviation(
-    gen: CycleGenerator,
-    rho_A: DensityMatrix,
-    rho_S0: DensityMatrix,
-    kappa: float,
-    t: float,
-    *,
-    step_tol: float = DEFAULT_STEP_TOL,
-) -> float:
-    """Trace distance from the effective trajectory under damped resets.
-
-    The damped generator has a constant g, so both CF4 exponents of a
-    substep are equal and every substep count is exact: the propagation
-    settles at two substeps, on whichever path ``dynamics`` picks.
-    """
-    damped = gradual_reset_generator(gen, rho_A, kappa)
-    traj = intra_cycle_trajectory(damped, rho_S0, rho_A, t, [t], step_tol=step_tol)
-    reduced = traj.states[-1].matrix
-    h_eff = effective_hamiltonian(gen, rho_A).matrix
-    u = expm_hermitian(h_eff, -1j * t)
-    return trace_distance(reduced, u @ rho_S0.matrix @ u.conj().T)
-
-
 def gradual_reset_scan(
     gen: CycleGenerator,
     rho_A: DensityMatrix,
@@ -486,6 +470,19 @@ def gradual_reset_scan(
     *,
     step_tol: float = DEFAULT_STEP_TOL,
 ) -> tuple[float, ...]:
-    return tuple(
-        gradual_reset_deviation(gen, rho_A, rho_S0, k, t, step_tol=step_tol) for k in kappas
-    )
+    """Trace distance at t from the effective trajectory, for each damping rate kappa.
+
+    The effective target is computed once. Each damped generator has a
+    constant g, so both CF4 exponents of a substep are equal and every
+    substep count is exact: the propagation settles at two substeps, on
+    whichever path ``dynamics`` picks.
+    """
+    _check_states(gen, rho_S0, rho_A)
+    u = expm_hermitian(effective_hamiltonian(gen, rho_A).matrix, -1j * t)
+    target = u @ rho_S0.matrix @ u.conj().T
+    devs = []
+    for kappa in kappas:
+        damped = gradual_reset_generator(gen, rho_A, kappa)
+        traj = intra_cycle_trajectory(damped, rho_S0, rho_A, t, [t], step_tol=step_tol)
+        devs.append(trace_distance(traj.states[-1].matrix, target))
+    return tuple(devs)

@@ -75,9 +75,11 @@ record that ladder as ``[[substeps, residual], ...]``, one entry per
 level compared with the one before, so the ratio of successive
 residuals shows the empirical order (about 2^6 = 64 on the closed path,
 2^4 = 16 on the open ones), and ``accepted_on`` names the rule that
-accepted it, ``"agreement"`` or ``"estimate"``. A ladder that reaches
-its cap raises ConvergenceError with its levels in ``ladder``, counted
-in substeps per piece of the grid.
+accepted it, ``"agreement"`` or ``"estimate"``. Every ladder reads its
+cap from ``DEFAULT_SUBSTEP_CAP`` when it runs; a kernel shares it among
+its sample intervals. A ladder that reaches its cap raises
+ConvergenceError with its levels in ``ladder``, counted in substeps per
+piece of the grid.
 """
 
 from __future__ import annotations
@@ -625,7 +627,6 @@ def _build_kernel(
     rho_a: np.ndarray,
     substeps: int | None,
     tol: float,
-    cap: int,
     end: float = 1.0,
 ) -> tuple[_CycleKernel, list[np.ndarray], dict]:
     """Construct a cycle kernel, calibrating substeps on a probe system state.
@@ -635,7 +636,7 @@ def _build_kernel(
     calibration residual, the ladder as [total substeps, residual] pairs
     and, when a ladder ran, the rule that accepted its level
     (``accepted_on``). A fixed ``substeps`` is spread over the sample
-    intervals, rounded up.
+    intervals, rounded up; so is the ladder's cap, ``DEFAULT_SUBSTEP_CAP``.
     """
     path = _path(gen)
     actuator = _actuator_columns(rho_a) if path is _UNITARY else None
@@ -654,7 +655,7 @@ def _build_kernel(
         lambda a, b: trace_distance(a[-1], b[-1]),
         start=1 if substeps is None else max(1, -(-substeps // parts)),
         tol=tol if substeps is None else None,
-        cap=max(1, cap // parts),
+        cap=max(1, DEFAULT_SUBSTEP_CAP // parts),
         what="cycle propagation",
         order=path.order,
     )
@@ -674,7 +675,6 @@ def evolve_with_resets(
     *,
     substeps: int | None = None,
     step_tol: float = DEFAULT_STEP_TOL,
-    substep_cap: int = DEFAULT_SUBSTEP_CAP,
     samples_per_cycle: int = 1,
     monitor_top_levels: int | None = None,
 ) -> Trajectory:
@@ -707,8 +707,7 @@ def evolve_with_resets(
             samples = kernels[key].apply(rho_s)
         else:
             kernels[key], samples, kernel_info[key] = _build_kernel(
-                gen, gap, samples_per_cycle, rho_s, rho_A.matrix,
-                substeps, step_tol, substep_cap,
+                gen, gap, samples_per_cycle, rho_s, rho_A.matrix, substeps, step_tol
             )
         applies[key] = applies.get(key, 0) + 1
         times += [start + frac * gap for frac in fractions]
@@ -765,8 +764,7 @@ def intra_cycle_trajectory(
         reduced = rho_S.matrix
         if tau > 0.0:
             _, (reduced,), info = _build_kernel(
-                gen, dt, 1, rho_S.matrix, rho_A.matrix, None, step_tol,
-                DEFAULT_SUBSTEP_CAP, tau / dt,
+                gen, dt, 1, rho_S.matrix, rho_A.matrix, None, step_tol, tau / dt
             )
             seg_info.append({"to": tau, **info})
         samples.append(reduced)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _effective_evolver,
     chernoff_deviation,
     default_probes,
     dissipative_scaling,
@@ -60,12 +61,6 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-def _effective_evolver(h_eff: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """exp(-i h_eff t) psi0 for every t of ``times``, one row each, in one product."""
-    energies, vecs = np.linalg.eigh(h_eff)
-    return (np.exp(-1j * np.outer(times, energies)) * (vecs.conj().T @ psi0)) @ vecs.T
 
 
 def _require_pure(psi0, kind: str):

@@ -66,9 +66,7 @@ class SwitchingFunction:
 
 def mean_coupling(g: SwitchingFunction) -> float:
     """Average of g over one cycle, by adaptive quadrature."""
-    return quadrature.integrate_scalar(
-        g.evaluate, 0.0, 1.0, breakpoints=g.breakpoints, tol=1e-10
-    )
+    return quadrature.integrate_scalar(g.evaluate, 0.0, 1.0, breakpoints=g.breakpoints)
 
 
 def constant(value: float) -> SwitchingFunction:
@@ -100,10 +98,13 @@ def from_table(zs: Sequence[float], values: Sequence[float]) -> SwitchingFunctio
         raise ValueError("table needs matching 1-d arrays with >= 2 points")
     if zs[0] > 0.0 or zs[-1] < 1.0 or np.any(np.diff(zs) <= 0):
         raise ValueError("table abscissae must increase and cover [0, 1]")
+    # piecewise linear, so |g| on [0, 1] peaks at a node inside it or at an end
+    inside = values[(zs >= 0.0) & (zs <= 1.0)]
+    on_unit = np.concatenate([inside, np.interp([0.0, 1.0], zs, values)])
     return SwitchingFunction(
         lambda z: float(np.interp(z, zs, values)),
         breakpoints=tuple(float(z) for z in zs[1:-1]),
-        g_max=float(np.max(np.abs(values))),
+        g_max=float(np.max(np.abs(on_unit))),
     )
 
 

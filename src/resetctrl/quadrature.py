@@ -7,6 +7,12 @@ ladder, ``_refine_doubling``, is also the one that refines the substep
 count of every propagator in ``dynamics``; those pass the order of
 their integrator, so that a level can also be accepted on its
 Richardson error estimate.
+
+The two public integrators have fixed tolerances and node ladders,
+module constants read at call time: ``integrate_scalar`` refines to
+absolute ``SCALAR_TOL`` and ``integrate_operator`` to relative
+Frobenius ``OPERATOR_RTOL``, both from ``START_NODES`` Gauss-Legendre
+nodes per piece up to ``SCALAR_NODE_CAP`` and ``OPERATOR_NODE_CAP``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qcore import ConvergenceError
+
+SCALAR_TOL = 1e-10
+OPERATOR_RTOL = 1e-8
+START_NODES = 8
+SCALAR_NODE_CAP = 2 ** 13
+OPERATOR_NODE_CAP = 2 ** 12
 
 
 @lru_cache(maxsize=None)
@@ -102,17 +114,15 @@ def integrate_scalar(
     b: float = 1.0,
     *,
     breakpoints: Sequence[float] = (),
-    tol: float = 1e-10,
-    start_nodes: int = 8,
-    node_cap: int = 2 ** 13,
 ) -> float:
-    """Integrate a piecewise-smooth scalar function to absolute tolerance."""
+    """Integrate a piecewise-smooth scalar function to absolute ``SCALAR_TOL``."""
     if b <= a:
         return 0.0
     segs = _segments(a, b, breakpoints)
     value, *_ = _refine_doubling(
         lambda n: sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs),
-        lambda cur, prev: abs(cur - prev), start_nodes, tol, node_cap, "scalar quadrature",
+        lambda cur, prev: abs(cur - prev), START_NODES, SCALAR_TOL, SCALAR_NODE_CAP,
+        "scalar quadrature",
     )
     return float(value)
 
@@ -123,11 +133,8 @@ def integrate_operator(
     b: float = 1.0,
     *,
     breakpoints: Sequence[float] = (),
-    rtol: float = 1e-8,
-    start_nodes: int = 8,
-    node_cap: int = 2 ** 12,
 ) -> np.ndarray:
-    """Integrate a matrix-valued function to relative Frobenius tolerance."""
+    """Integrate a matrix-valued function to relative Frobenius ``OPERATOR_RTOL``."""
     if b <= a:
         raise ValueError("integrate_operator needs b > a")
     segs = _segments(a, b, breakpoints)
@@ -138,6 +145,6 @@ def integrate_operator(
 
     value, *_ = _refine_doubling(
         lambda n: sum(_fixed_quad(f, lo, hi, n) for lo, hi in segs),
-        distance, start_nodes, rtol, node_cap, "operator quadrature",
+        distance, START_NODES, OPERATOR_RTOL, OPERATOR_NODE_CAP, "operator quadrature",
     )
     return value

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from resetctrl import analysis
 from resetctrl.analysis import (
     braced_switching_term,
     chernoff_deviation,
@@ -24,13 +25,23 @@ from resetctrl.analysis import (
     stroboscopic_bound_check,
     stroboscopic_deviation,
 )
-from resetctrl.generators import constant, phi1_super, phi2_super, sin_squared, square_pulse
+from resetctrl.dynamics import ResetSchedule, evolve_with_resets, intra_cycle_trajectory
+from resetctrl.generators import (
+    constant,
+    effective_hamiltonian,
+    phi1_super,
+    phi2_super,
+    sin_squared,
+    square_pulse,
+)
 from resetctrl.qcore import (
     DensityMatrix,
     Operator,
     SuperOperator,
     dissipator_super,
+    expm_hermitian,
     mat_exp,
+    trace_distance,
     trace_norm,
     unvec,
     vec,
@@ -261,6 +272,25 @@ class TestDissipativeScaling:
         # 0.4 * 3 = 1.2 -> 1 cycle at t = 1/3; 0.7 * 3 = 2.1 -> 2 cycles
         np.testing.assert_allclose(result.scans[0].times, [1 / 3, 2 / 3])
 
+    def test_deviations_match_a_per_time_reference(self):
+        # the effective states of a rate come from one eigendecomposition;
+        # the oracle exponentiates H_eff once per snapped time
+        gen, rho_a = generic_qq()
+        psi0 = np.array([0.6, 0.8j])
+        f_list, t_grid = [10.0, 20.0, 40.0], [0.5, 1.0, 1.5]
+        result = dissipative_scaling(gen, rho_a, psi0, f_list, t_grid)
+        h_eff = effective_hamiltonian(gen, rho_a).matrix
+        rho0 = DensityMatrix.pure(psi0, (2,))
+        for f, scan in zip(f_list, result.scans):
+            counts = sorted({max(1, round(f * t)) for t in t_grid})
+            schedule = ResetSchedule.uniform(counts[-1], counts[-1] / f)
+            traj = evolve_with_resets(gen, rho0, rho_a, schedule)
+            for n, t, dev in zip(counts, scan.times, scan.deviations):
+                psi_t = expm_hermitian(h_eff, -1j * (n / f)) @ psi0
+                expected = trace_distance(traj.states[n].matrix, np.outer(psi_t, psi_t.conj()))
+                assert t == n / f
+                assert abs(dev - expected) <= 1e-14
+
 
 class TestStroboscopic:
     def test_full_cycle_deviation_vanishes(self, rng):
@@ -464,6 +494,38 @@ class TestGradualReset:
         devs = gradual_reset_scan(gen, rho_a, rho0, [4.0, 8.0, 16.0, 32.0], 2.0)
         for a, b in zip(devs, devs[1:]):
             assert b <= a * 1.1
+
+    def test_scan_builds_the_effective_target_once(self, monkeypatch):
+        calls = []
+        original = analysis.effective_hamiltonian
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "effective_hamiltonian", counted)
+        gen, rho_a = generic_qq()
+        rho0 = DensityMatrix.pure(np.array([1.0, 0.0]), (2,))
+        gradual_reset_scan(gen, rho_a, rho0, [4.0, 8.0, 16.0], 2.0)
+        assert len(calls) == 1
+        # a mismatched state is named before the target is built
+        rho3 = DensityMatrix.from_matrix(np.eye(3) / 3)
+        with pytest.raises(ValueError, match="system state dimension 3 != 2"):
+            gradual_reset_scan(gen, rho_a, rho3, [4.0], 2.0)
+
+    @pytest.mark.parametrize("kappas", [[4.0, 8.0, 16.0], [2.5]])
+    def test_scan_equals_the_per_rate_route(self, rng, kappas):
+        gen, rho_a = random_closed_qq(rng)
+        rho0 = DensityMatrix.from_matrix(random_density(rng, 2))
+        t = 1.5
+        expected = []
+        for kappa in kappas:
+            damped = gradual_reset_generator(gen, rho_a, kappa)
+            traj = intra_cycle_trajectory(damped, rho0, rho_a, t, [t])
+            u = expm_hermitian(effective_hamiltonian(gen, rho_a).matrix, -1j * t)
+            target = u @ rho0.matrix @ u.conj().T
+            expected.append(trace_distance(traj.states[-1].matrix, target))
+        assert gradual_reset_scan(gen, rho_a, rho0, kappas, t) == tuple(expected)
 
     def test_generator_replaces_switching_and_jumps(self):
         gen, rho_a = generic_qq()

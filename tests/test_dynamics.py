@@ -27,7 +27,7 @@ from resetctrl.dynamics import (
     evolve_with_resets,
     intra_cycle_trajectory,
 )
-from resetctrl import generators
+from resetctrl import dynamics, generators
 from resetctrl.generators import (
     _reduced_super,
     constant,
@@ -519,13 +519,12 @@ class TestEvolveWithResets:
         with pytest.raises(ValueError, match=actuator):
             intra_cycle_trajectory(gen, rho_a, rho3, 0.1, [0.05])
 
-    def test_non_convergence_reports_residual(self):
+    def test_non_convergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DEFAULT_SUBSTEP_CAP", 4)
         gen, rho_a = generic_qq()
         rho0 = DensityMatrix.pure(np.array([1.0, 0.0]), (2,))
         with pytest.raises(ConvergenceError) as err:
-            evolve_with_resets(
-                gen, rho0, rho_a, ResetSchedule((2.0,)), step_tol=1e-15, substep_cap=4
-            )
+            evolve_with_resets(gen, rho0, rho_a, ResetSchedule((2.0,)), step_tol=1e-15)
         assert err.value.residual > 0
 
     def test_non_uniform_refinement_approaches_effective(self):
@@ -685,13 +684,12 @@ class TestLadderHoldsOneKernel:
 class TestFailedLadder:
     """A ladder that reaches its cap raises with the levels it tried."""
 
-    def test_error_carries_the_ladder(self):
+    def test_error_carries_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DEFAULT_SUBSTEP_CAP", 4)
         gen, rho_a = generic_qq()
         rho0 = DensityMatrix.pure(np.array([1.0, 0.0]), (2,))
         with pytest.raises(ConvergenceError) as err:
-            evolve_with_resets(
-                gen, rho0, rho_a, ResetSchedule((2.0,)), step_tol=1e-15, substep_cap=4
-            )
+            evolve_with_resets(gen, rho0, rho_a, ResetSchedule((2.0,)), step_tol=1e-15)
         ladder = err.value.ladder
         assert [s for s, _ in ladder] == [2, 4]
         assert all(r > 0 for _, r in ladder)

@@ -74,6 +74,12 @@ class TestSwitchingFunctions:
         assert g(0.25) == pytest.approx(0.5)
         assert g.g_max == 1.0
 
+    def test_table_g_max_is_taken_on_the_unit_interval(self):
+        # nodes outside [0, 1] do not count; interpolated end values do
+        assert from_table([-1.0, 0.0, 1.0], [10.0, 0.0, 1.0]).g_max == 1.0
+        assert from_table([-1.0, 2.0], [3.0, -3.0]).g_max == 1.0
+        assert from_table([0.0, 0.3, 0.6, 1.0], [0.0, 2.5, 1.0, 0.5]).g_max == 2.5
+
     def test_table_validation(self):
         with pytest.raises(ValueError):
             from_table([0.0, 0.4], [1.0, 1.0])  # does not cover [0, 1]

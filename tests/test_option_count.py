@@ -9,7 +9,7 @@ function, or of a public method of a public class, in
 import ast
 from pathlib import Path
 
-PUBLIC_DEFAULTED_PARAMETERS = 39
+PUBLIC_DEFAULTED_PARAMETERS = 31
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "resetctrl"
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resetctrl import quadrature
 from resetctrl.qcore import ConvergenceError
 from resetctrl.quadrature import _refine_doubling, integrate_operator, integrate_scalar
 
@@ -39,14 +40,18 @@ def test_operator_valued(rng):
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
-def test_start_above_cap_is_non_convergence():
+def test_start_above_cap_is_non_convergence(monkeypatch):
+    monkeypatch.setattr(quadrature, "START_NODES", 16)
+    monkeypatch.setattr(quadrature, "SCALAR_NODE_CAP", 8)
+    monkeypatch.setattr(quadrature, "OPERATOR_NODE_CAP", 8)
     with pytest.raises(ConvergenceError):
-        integrate_scalar(np.cos, start_nodes=16, node_cap=8)
+        integrate_scalar(np.cos)
     with pytest.raises(ConvergenceError):
-        integrate_operator(lambda z: z * np.eye(2), start_nodes=16, node_cap=8)
+        integrate_operator(lambda z: z * np.eye(2))
 
 
-def test_no_node_count_above_cap():
+def test_no_node_count_above_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "SCALAR_NODE_CAP", 16)
     nodes = []
 
     def f(z):
@@ -54,7 +59,7 @@ def test_no_node_count_above_cap():
         return np.sin(200.0 * z)  # far from resolved by 16 nodes
 
     with pytest.raises(ConvergenceError):
-        integrate_scalar(f, node_cap=16)
+        integrate_scalar(f)
     assert len(nodes) == 8 + 16
 
 
