@@ -17,13 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators, models
-from .dynamics import DEFAULT_MAP_TOL, DEFAULT_STEP_TOL
+from .dynamics import DEFAULT_MAP_TOL, DEFAULT_STEP_TOL, _cycle_count
 from .generators import CycleGenerator, SwitchingFunction
 from .qcore import DensityMatrix, HilbertSpace, Operator
 
 
 class ConfigError(ValueError):
     """Configuration failed validation; the message names the field."""
+
+
+def _require_grid(values, minimum: int, field: str):
+    if len(values) < minimum or any(v <= 0 for v in values) or len(set(values)) < len(values):
+        raise ConfigError(f"{field}: need at least {minimum} distinct positive entries")
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -39,14 +44,17 @@ class SwitchingSpec:
     values: tuple[float, ...] = ()
 
     def build(self) -> SwitchingFunction:
-        if self.kind == "constant":
-            return generators.constant(self.peak)
-        if self.kind == "sin_squared":
-            return generators.sin_squared(self.peak)
-        if self.kind == "square_pulse":
-            return generators.square_pulse(self.peak, self.start, self.stop)
-        if self.kind == "table":
-            return generators.from_table(self.zs, self.values)
+        try:
+            if self.kind == "constant":
+                return generators.constant(self.peak)
+            if self.kind == "sin_squared":
+                return generators.sin_squared(self.peak)
+            if self.kind == "square_pulse":
+                return generators.square_pulse(self.peak, self.start, self.stop)
+            if self.kind == "table":
+                return generators.from_table(self.zs, self.values)
+        except ValueError as exc:
+            raise ConfigError(f"model.switching: {exc}") from exc
         raise ConfigError(f"model.switching.kind: unknown kind {self.kind!r}")
 
 
@@ -136,8 +144,7 @@ class ScheduleSpec:
     samples_per_cycle: int = 4
 
     def __post_init__(self):
-        if not self.f_list or any(f <= 0 for f in self.f_list):
-            raise ConfigError("schedule.f_list: reset rates must be positive")
+        _require_grid(self.f_list, 1, "schedule.f_list")
         if self.total_time <= 0:
             raise ConfigError("schedule.total_time: must be positive")
         if self.samples_per_cycle < 1:
@@ -145,7 +152,7 @@ class ScheduleSpec:
 
     def snapped_cycles(self, f: float) -> tuple[int, float]:
         """Integer cycle count for rate f and the snapped total time."""
-        n = max(1, round(f * self.total_time))
+        n = _cycle_count(f, self.total_time)
         return n, n / f
 
 
@@ -179,6 +186,18 @@ class ExperimentSpec:
     gradual_kappas: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0, 64.0)
     gradual_time: float = 2.0
 
+    def __post_init__(self):
+        _require_grid(self.chernoff_ns, 3, "experiment.chernoff_ns")
+        if self.chernoff_time <= 0:
+            raise ConfigError("experiment.chernoff_time: must be positive")
+        _require_grid(self.dissipative_times, 2, "experiment.dissipative_times")
+        _require_grid(self.strobe_dts, 1, "experiment.strobe_dts")
+        if not self.strobe_tau_fractions or any(not 0 < f <= 1 for f in self.strobe_tau_fractions):
+            raise ConfigError("experiment.strobe_tau_fractions: entries must lie in (0, 1]")
+        _require_grid(self.gradual_kappas, 2, "experiment.gradual_kappas")
+        if self.gradual_time <= 0:
+            raise ConfigError("experiment.gradual_time: must be positive")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -194,13 +213,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be an object")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(types)
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        return cls(**{name: _build_section(types[name], name, data[name]) for name in data})
+        return _build_section(cls, "", data)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -244,29 +257,30 @@ def _fits(kind, value) -> bool:
 
 
 def _build_section(section_cls, path: str, data):
-    """Build a section from its JSON object; field types come from the annotations."""
+    """Build a section, or the root at path "", from its JSON object and field annotations."""
+    where = path or "config root"
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object")
+        raise ConfigError(f"{where}: expected an object")
     types = {f.name: f.type for f in dataclasses.fields(section_cls)}
     unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        kind = types[name]
+        kind, field_path = types[name], f"{path}.{name}" if path else name
         if dataclasses.is_dataclass(kind):
-            kwargs[name] = _build_section(kind, f"{path}.{name}", value)
+            kwargs[name] = _build_section(kind, field_path, value)
             continue
         if not _fits(kind, value):
             shown = kind.__name__ if isinstance(kind, type) else kind
-            raise ConfigError(f"{path}.{name}: expected {shown}, got {value!r}")
+            raise ConfigError(f"{field_path}: expected {shown}, got {value!r}")
         kwargs[name] = _tuplify(value)
     try:
         return section_cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def default_config() -> ExperimentConfig:

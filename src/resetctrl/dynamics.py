@@ -91,7 +91,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .generators import CycleGenerator, SwitchingFunction, _check_actuator_state, _reduced_super
+from .generators import (
+    CycleGenerator,
+    SwitchingFunction,
+    _check_actuator_state,
+    _reduce,
+    _reduced_super,
+)
 from .quadrature import _refine_doubling
 from .qcore import (
     ConvergenceError,
@@ -103,7 +109,6 @@ from .qcore import (
     _kraus_apply,
     expm_hermitian,
     mat_exp,
-    partial_trace_matrix,
     trace_distance,
     unvec,
     vec,
@@ -138,6 +143,11 @@ _STATE_TOLS = dict(tol_herm=1e-9, tol_trace=1e-9, tol_psd=1e-7)
 # get no Kraus blocks; a Kraus set must satisfy sum M^dag M = 1 to _KRAUS_TOL
 _ROUNDOFF_WEIGHT = 1e-14
 _KRAUS_TOL = 1e-10
+
+
+def _cycle_count(f: float, t: float) -> int:
+    """The whole number of cycles at reset rate f that ends nearest time t, at least one."""
+    return max(1, round(f * t))
 
 
 @dataclass(frozen=True)
@@ -573,13 +583,13 @@ class _CycleKernel:
     sample intervals, each propagated with ``substeps_per_piece``
     substeps per piece of the breakpoint-aligned grid; ``substeps`` is
     the total. Both dense paths cut the partial products up to all
-    samples in one call into a stack of maps on the system: the closed
+    samples in one call into ``_maps``, a stack of system maps: the closed
     path into Kraus blocks (``actuator`` is ``_actuator_columns(rho_a)``),
     the dense open path into the d_S^2 x d_S^2 matrices of rho_S ->
     tr_A[P (rho_S kron rho_a)]. A dense ``apply`` is one stacked product
     per cycle, not one per sample. Only the matrix-free path forms joint
-    states: it holds the substep factors (their fused Lindblad forms) and
-    steps rho_S kron rho_a through them on every apply.
+    states: its ``_maps`` are the substep factors (their fused Lindblad
+    forms), and ``apply`` steps rho_S kron rho_a through them (``_reduce``).
     """
 
     def __init__(
@@ -598,25 +608,22 @@ class _CycleKernel:
         self._grid = _substep_grid(gen.g, 0.0, end, substeps_per_piece, parts)
         self.substeps = self._grid[2][-1]
         self._rho_a = rho_a
-        self._kraus = self._supers = self._factors = None
         if self.path is _UNITARY:
-            self._kraus = _kraus(_sweep(gen, _UNITARY, gap, self._grid), *actuator)
+            self._maps = _kraus(_sweep(gen, _UNITARY, gap, self._grid), *actuator)
         elif self.path is _SUPEROP:
-            self._supers = _system_super(gen, rho_a, _sweep(gen, _SUPEROP, gap, self._grid))
+            self._maps = _system_super(gen, rho_a, _sweep(gen, _SUPEROP, gap, self._grid))
         else:
             zetas, widths, _ = self._grid
-            self._factors = [_open_step_matvec(gen, z, w, gap) for z, w in zip(zetas, widths)]
+            self._maps = [_open_step_matvec(gen, z, w, gap) for z, w in zip(zetas, widths)]
 
     def apply(self, rho_s: np.ndarray) -> np.ndarray:
         """Propagate a system state through one cycle; returns its samples, stacked."""
-        if self._kraus is not None:
-            return _kraus_apply(self._kraus, rho_s)
-        d_s = rho_s.shape[0]
-        if self._supers is not None:
-            return unvec(self._supers @ vec(rho_s), d_s)
-        joint = np.kron(rho_s, self._rho_a)
-        joints = _sweep(self.gen, _MATVEC, self.gap, self._grid, joint, self._factors)
-        return partial_trace_matrix(joints, (d_s, self._rho_a.shape[0]), keep=0)
+        if self.path is _UNITARY:
+            return _kraus_apply(self._maps, rho_s)
+        if self.path is _SUPEROP:
+            return unvec(self._maps @ vec(rho_s), rho_s.shape[0])
+        sweep = lambda joint: _sweep(self.gen, _MATVEC, self.gap, self._grid, joint, self._maps)
+        return _reduce(self.gen, self._rho_a, sweep, rho_s)
 
 
 def _build_kernel(

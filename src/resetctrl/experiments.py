@@ -33,8 +33,8 @@ from .analysis import (
     stroboscopic_deviation,
     braced_switching_term,
 )
-from .config import ConfigError, ExperimentConfig, default_config, qubit_defaults
-from .dynamics import CUTOFF_POPULATION_LIMIT, ResetSchedule, evolve_with_resets
+from .config import ConfigError, ExperimentConfig, _require_grid, default_config, qubit_defaults
+from .dynamics import CUTOFF_POPULATION_LIMIT, ResetSchedule, _cycle_count, evolve_with_resets
 from .generators import effective_hamiltonian
 from .models import SIGMA_X, SIGMA_Y, SIGMA_Z, number_operator, quadrature_p, quadrature_x
 from .qcore import fidelity_pure, trace_norm
@@ -66,11 +66,6 @@ def _fmt(value) -> str:
 def _require_pure(psi0, kind: str):
     if psi0 is None:
         raise ConfigError(f"{kind} needs a pure initial system state (coherent or fock)")
-
-
-def _require_grid(values, minimum: int, field: str):
-    if len(values) < minimum or any(v <= 0 for v in values) or len(set(values)) < len(values):
-        raise ConfigError(f"{field}: need at least {minimum} distinct positive entries")
 
 
 def _states(cfg, model):
@@ -197,9 +192,6 @@ def _run_chernoff(cfg, model, gen):
     rho_a = cfg.states.build_rho_a()
     ns = sorted(cfg.experiment.chernoff_ns)
     t = cfg.experiment.chernoff_time
-    _require_grid(ns, 3, "experiment.chernoff_ns")
-    if t <= 0:
-        raise ConfigError("experiment.chernoff_time: must be positive")
     probes = default_probes(gen.space_S.total_dim)
     devs = [
         chernoff_deviation(gen, rho_a, t, n, probes=probes, map_tol=cfg.tolerances.map_tol)
@@ -225,7 +217,12 @@ def _run_dissipative(cfg, model, gen):
     rho_a, psi0, _ = _states(cfg, model)
     _require_pure(psi0, "dissipative")
     _require_grid(cfg.schedule.f_list, 3, "schedule.f_list")
-    _require_grid(cfg.experiment.dissipative_times, 2, "experiment.dissipative_times")
+    for f in sorted(cfg.schedule.f_list):
+        if len({_cycle_count(f, t) for t in cfg.experiment.dissipative_times}) < 2:
+            raise ConfigError(
+                f"experiment.dissipative_times: at f={f} every time snaps to the same "
+                "cycle count; a slope needs two"
+            )
     result = dissipative_scaling(
         gen,
         rho_a,
@@ -256,10 +253,6 @@ def _run_dissipative(cfg, model, gen):
 
 def _run_strobe(cfg, model, gen):
     rho_a, _, rho0 = _states(cfg, model)
-    _require_grid(cfg.experiment.strobe_dts, 1, "experiment.strobe_dts")
-    fracs = cfg.experiment.strobe_tau_fractions
-    if not fracs or any(not 0.0 < f <= 1.0 for f in fracs):
-        raise ConfigError("experiment.strobe_tau_fractions: entries must lie in (0, 1]")
     rows = []
     for dt in cfg.experiment.strobe_dts:
         for frac in cfg.experiment.strobe_tau_fractions:
@@ -299,10 +292,7 @@ def _run_strobe(cfg, model, gen):
 def _run_gradual(cfg, model, gen):
     rho_a, _, rho0 = _states(cfg, model)
     kappas = sorted(cfg.experiment.gradual_kappas)
-    _require_grid(kappas, 2, "experiment.gradual_kappas")
     t = cfg.experiment.gradual_time
-    if t <= 0:
-        raise ConfigError("experiment.gradual_time: must be positive")
     devs = gradual_reset_scan(gen, rho_a, rho0, kappas, t, step_tol=cfg.tolerances.step_tol)
     meta = {"time": t, "monotone_decreasing": all(b <= a for a, b in zip(devs, devs[1:]))}
     return _Result(

@@ -381,21 +381,21 @@ class _LindbladForm:
         return out
 
 
+def _reduce(gen: CycleGenerator, rho_a: np.ndarray,
+            apply_full: Callable[[np.ndarray], np.ndarray], rho_s: np.ndarray) -> np.ndarray:
+    """tr_A[ F(rho_S kron rho_a) ] for a linear map F; a stack of rho_S passes through."""
+    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
+    # np.kron pads rho_a to a stack of one, so it krons each matrix of rho_s
+    return partial_trace_matrix(apply_full(np.kron(rho_s, rho_a)), (d_s, d_a), keep=0)
+
+
 def _reduced_super(gen: CycleGenerator, rho_a: np.ndarray,
                    apply_full: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Matrix of rho_S -> tr_A[ F(rho_S kron rho_a) ] for a linear map F.
+    """Matrix of ``_reduce`` in rho_S, with F applied once to all d_S^2 inputs (``_super_matrix``).
 
-    F is applied once, to the stack of the d_S^2 joint inputs E_idx kron
-    rho_a (``qcore._super_matrix``). F may prepend axes of its own (a
-    stack of maps); they lead the result.
+    F may prepend axes of its own (a stack of maps); they lead the result.
     """
-    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
-
-    def reduced(rho_s: np.ndarray) -> np.ndarray:
-        # np.kron pads rho_a to a stack of one, so it krons each matrix of rho_s
-        return partial_trace_matrix(apply_full(np.kron(rho_s, rho_a)), (d_s, d_a), keep=0)
-
-    return _super_matrix(reduced, d_s)
+    return _super_matrix(lambda m: _reduce(gen, rho_a, apply_full, m), gen.space_S.total_dim)
 
 
 def _check_actuator_state(gen: CycleGenerator, rho_A: DensityMatrix):
@@ -408,10 +408,7 @@ def _check_actuator_state(gen: CycleGenerator, rho_A: DensityMatrix):
 
 def _coupling_average(gen: CycleGenerator, rho_A: DensityMatrix) -> np.ndarray:
     """The actuator-averaged interaction tr_A[H_SA (1 kron rho_A)]."""
-    d_s, d_a = gen.space_S.total_dim, gen.space_A.total_dim
-    return partial_trace_matrix(
-        gen.h_SA.matrix @ np.kron(np.eye(d_s), rho_A.matrix), (d_s, d_a), keep=0
-    )
+    return _reduce(gen, rho_A.matrix, lambda m: gen.h_SA.matrix @ m, np.eye(gen.space_S.total_dim))
 
 
 def effective_hamiltonian(gen: CycleGenerator, rho_A: DensityMatrix) -> Operator:

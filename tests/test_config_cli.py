@@ -301,6 +301,8 @@ class TestCli:
             ("chernoff", {"experiment": {"chernoff_ns": [16, 16, 32]}}),
             ("dissipative", {"schedule": {"f_list": [20.0, 20.0, 40.0]}}),
             ("gradual", {"experiment": {"gradual_kappas": [4.0, 8.0, 4.0]}}),
+            ("simulate", {"schedule": {"f_list": [5.0, 5.0]}}),
+            ("fig1", {"schedule": {"f_list": [5.0, 5.0]}}),
         ],
     )
     def test_repeated_grid_entries_exit_one(self, tmp_path, kind, section):
@@ -522,6 +524,52 @@ class TestCli:
         path.write_text(cfg.dumps())
         assert main([kind, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
         assert seen and set(seen) == {step_tol}
+
+
+    @pytest.mark.parametrize(
+        "switching",
+        [
+            {"kind": "table", "zs": [0, 0.4], "values": [1, 1]},
+            {"kind": "square_pulse", "start": 0.7, "stop": 0.2},
+            {"kind": "table", "zs": [0, 0.5, 1], "values": [1, 1]},
+        ],
+    )
+    def test_invalid_switching_shape_exits_one(self, tmp_path, capsys, switching):
+        data = json.loads(qubit_defaults().dumps())
+        data["model"]["switching"].update(switching)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["effective", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.switching: ") and err.count("\n") == 1
+        assert not (tmp_path / "effective.csv").exists()
+
+    def test_dissipative_times_on_one_cycle_count_exit_one(self, tmp_path, capsys):
+        # at f = 20 and f = 40 both times snap to a single cycle count
+        data = json.loads(qubit_defaults().dumps())
+        data["experiment"]["dissipative_times"] = [0.5, 0.51]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        args = ["dissipative", "--config", str(path), "--out", str(tmp_path), "--quiet"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment.dissipative_times: at f=20.0 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "dissipative.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config root: expected an object"),
+            ('{"schedule": {}, "bogus": {}}', "config root: unknown fields ['bogus']"),
+        ],
+    )
+    def test_invalid_root_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["lie", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "lie.csv").exists()
 
 
 class TestStdout:

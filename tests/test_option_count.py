@@ -7,9 +7,16 @@ function, or of a public method of a public class, in
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
+from resetctrl.config import ExperimentConfig
+
 PUBLIC_DEFAULTED_PARAMETERS = 31
+# the config file's options: every field that is not a section, over the
+# sections reachable from ExperimentConfig; a change that adds or removes
+# a config field edits this on purpose too
+CONFIG_LEAF_FIELDS = 29
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "resetctrl"
 
@@ -40,3 +47,14 @@ def count_public_defaulted_parameters() -> int:
 
 def test_public_defaulted_parameter_count():
     assert count_public_defaulted_parameters() == PUBLIC_DEFAULTED_PARAMETERS
+
+
+def count_config_leaf_fields(section=ExperimentConfig) -> int:
+    return sum(
+        count_config_leaf_fields(f.type) if dataclasses.is_dataclass(f.type) else 1
+        for f in dataclasses.fields(section)
+    )
+
+
+def test_config_leaf_field_count():
+    assert count_config_leaf_fields() == CONFIG_LEAF_FIELDS
