@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -238,10 +239,16 @@ def omega1_super(phi1: SuperOperator, phi2: SuperOperator, t: float) -> SuperOpe
 # dissipative error scaling
 
 
+def _effective_reference(h_eff: np.ndarray, psi0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from times to exp(-i h_eff t) psi0, one row each, from one eigendecomposition."""
+    energies, vecs = np.linalg.eigh(h_eff)
+    amplitudes = vecs.conj().T @ psi0
+    return lambda times: (np.exp(-1j * np.outer(times, energies)) * amplitudes) @ vecs.T
+
+
 def _effective_evolver(h_eff: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """exp(-i h_eff t) psi0 for every t of ``times``, one row each, in one product."""
-    energies, vecs = np.linalg.eigh(h_eff)
-    return (np.exp(-1j * np.outer(times, energies)) * (vecs.conj().T @ psi0)) @ vecs.T
+    return _effective_reference(h_eff, psi0)(times)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,6 +102,7 @@ from .quadrature import _refine_doubling
 from .qcore import (
     ConvergenceError,
     DensityMatrix,
+    HilbertSpace,
     Operator,
     SuperOperator,
     _check_density,
@@ -139,6 +140,9 @@ _BREAKPOINT_SLACK = 1e-12
 
 # trajectory states are valid by construction up to accumulated roundoff
 _STATE_TOLS = dict(tol_herm=1e-9, tol_trace=1e-9, tol_psd=1e-7)
+# a reset trajectory is run in blocks of whole cycles of at most this many
+# state entries (at least one cycle), each block checked in one call
+_BLOCK_ENTRIES = 2 ** 14
 # actuator eigenvalues below this fraction of the largest are roundoff and
 # get no Kraus blocks; a Kraus set must satisfy sum M^dag M = 1 to _KRAUS_TOL
 _ROUNDOFF_WEIGHT = 1e-14
@@ -184,12 +188,36 @@ class ResetSchedule:
         return tuple(b - a for a, b in zip(edges, edges[1:]))
 
 
+class _StateStack(Sequence):
+    """Read-only sequence over a stack (n, d, d) of checked states.
+
+    An entry becomes a ``DensityMatrix`` only when it is read, unchecked.
+    """
+
+    def __init__(self, stack: np.ndarray, space: HilbertSpace):
+        stack.setflags(write=False)
+        self._stack = stack
+        self._space = space
+
+    def __len__(self) -> int:
+        return len(self._stack)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _StateStack(self._stack[k], self._space)
+        return DensityMatrix(Operator(self._stack[k], self._space), validate=False)
+
+
 @dataclass
 class Trajectory:
-    """Reduced system states sampled along an evolve-and-reset run."""
+    """Reduced system states sampled along an evolve-and-reset run.
+
+    ``states`` is any sequence of states; ``evolve_with_resets`` and
+    ``intra_cycle_trajectory`` give a read-only ``_StateStack``.
+    """
 
     times: np.ndarray
-    states: list[DensityMatrix]
+    states: Sequence[DensityMatrix]
     metadata: dict
 
     def __post_init__(self):
@@ -414,12 +442,6 @@ def _scatter(sectors: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     out = np.zeros(blocks.shape[:-3] + (d, d), dtype=blocks.dtype)
     out[..., sectors[:, :, None], sectors[:, None, :]] = blocks
     return out
-
-
-def _system_states(gen: CycleGenerator, stack: np.ndarray) -> list[DensityMatrix]:
-    """Check a stack of system states in one call, then wrap each unchecked."""
-    _check_density(stack, **_STATE_TOLS)
-    return [DensityMatrix(Operator(m, gen.space_S), validate=False) for m in stack]
 
 
 def _check_states(gen: CycleGenerator, rho_S: DensityMatrix, rho_A: DensityMatrix):
@@ -674,6 +696,97 @@ def _build_kernel(
     return kernel, reduced, info
 
 
+def _check_cycles(states: np.ndarray, samples_per_cycle: int):
+    """Check a stack of whole cycles in one call; a failure raises its first failing cycle's error."""
+    try:
+        _check_density(states, **_STATE_TOLS)
+    except ValueError:
+        for cycle in states.reshape((-1, samples_per_cycle) + states.shape[1:]):
+            _check_density(cycle, **_STATE_TOLS)
+        raise
+
+
+def _reset_blocks(
+    gen: CycleGenerator,
+    rho_S0: DensityMatrix,
+    rho_A: DensityMatrix,
+    schedule: ResetSchedule,
+    metadata: dict,
+    substeps: int | None,
+    step_tol: float,
+    samples_per_cycle: int,
+    monitor_top_levels: int | None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Run the reset schedule, yielding (times, states) blocks of whole cycles.
+
+    The first block is the start state at time 0, as given. Every later
+    block is one read-only array (n, d_S, d_S) of the samples of as many
+    whole cycles as fit into ``_BLOCK_ENTRIES`` entries, at least one,
+    checked in one call (``_check_cycles``), so an invalid state raises
+    the error a check of its own cycle gives; a cycle ending in a
+    non-finite state is checked at once. When the schedule is done,
+    ``metadata`` receives the run's metadata.
+    """
+    _check_states(gen, rho_S0, rho_A)
+    if samples_per_cycle < 1:
+        raise ValueError("samples_per_cycle must be >= 1")
+
+    d = gen.space_S.total_dim
+    per_block = max(1, _BLOCK_ENTRIES // (d * d * samples_per_cycle))
+    fractions = [(k + 1) / samples_per_cycle for k in range(samples_per_cycle)]
+    starts = (0.0,) + schedule.reset_times[:-1]
+    gaps = schedule.gaps
+    kernels: dict[float, _CycleKernel] = {}
+    kernel_info: dict[float, dict] = {}
+    applies: dict[float, int] = {}
+    rho_s = rho_S0.matrix
+    top_level_max = 0.0
+    yield np.zeros(1), rho_S0.matrix[None]
+
+    for first in range(0, schedule.n_resets, per_block):
+        cycles = range(first, min(first + per_block, schedule.n_resets))
+        times = np.empty(len(cycles) * samples_per_cycle)
+        states = np.empty((times.size, d, d), dtype=complex)
+        for j, k in enumerate(cycles):
+            key = round(gaps[k], 12)
+            if key in kernels:
+                samples = kernels[key].apply(rho_s)
+            else:
+                kernels[key], samples, kernel_info[key] = _build_kernel(
+                    gen, gaps[k], samples_per_cycle, rho_s, rho_A.matrix, substeps, step_tol
+                )
+            applies[key] = applies.get(key, 0) + 1
+            at = slice(j * samples_per_cycle, (j + 1) * samples_per_cycle)
+            times[at] = [starts[k] + frac * gaps[k] for frac in fractions]
+            states[at] = samples
+            rho_s = states[at.stop - 1]
+            if not np.isfinite(rho_s).all():
+                # the next matrix-free cycle would stall on it before the block check
+                _check_cycles(states[:at.stop], samples_per_cycle)
+        _check_cycles(states, samples_per_cycle)
+        if monitor_top_levels:
+            pops = np.real(np.diagonal(states, axis1=-2, axis2=-1))[:, -monitor_top_levels:]
+            top_level_max = max(top_level_max, float(np.max(np.sum(pops, axis=-1))))
+        states.setflags(write=False)
+        yield times, states
+
+    path = _path(gen)
+    n_blocks, size = gen.sectors.shape if path is _UNITARY else (1, gen.total_dim)
+    metadata.update({
+        "resets": schedule.n_resets,
+        "samples_per_cycle": samples_per_cycle,
+        "path": path.name,
+        # sizes of the joint blocks propagated apart
+        "sectors": [int(size)] * n_blocks,
+        "kernels": {str(k): v for k, v in sorted(kernel_info.items())},
+        # cycles served by each kernel: its cache hits plus one
+        "kernel_applies": {str(k): v for k, v in sorted(applies.items())},
+    })
+    if monitor_top_levels:
+        metadata["top_level_max"] = top_level_max
+        metadata["cutoff_flag"] = top_level_max > CUTOFF_POPULATION_LIMIT
+
+
 def evolve_with_resets(
     gen: CycleGenerator,
     rho_S0: DensityMatrix,
@@ -691,55 +804,17 @@ def evolve_with_resets(
     replaced by ``rho_A``. The reduced system state is recorded at every
     reset boundary, plus ``samples_per_cycle - 1`` interior points per
     cycle when requested. ``monitor_top_levels`` tracks the population
-    of the top system levels to expose truncation artifacts.
+    of the top system levels to expose truncation artifacts. The states
+    are the blocks of ``_reset_blocks`` joined into one array.
     """
-    _check_states(gen, rho_S0, rho_A)
-    if samples_per_cycle < 1:
-        raise ValueError("samples_per_cycle must be >= 1")
-
-    fractions = [(k + 1) / samples_per_cycle for k in range(samples_per_cycle)]
-    starts = (0.0,) + schedule.reset_times[:-1]
-    kernels: dict[float, _CycleKernel] = {}
-    kernel_info: dict[float, dict] = {}
-    applies: dict[float, int] = {}
-
-    times = [0.0]
-    states = [rho_S0]
-    rho_s = rho_S0.matrix
-    top_level_max = 0.0
-
-    for start, gap in zip(starts, schedule.gaps):
-        key = round(gap, 12)
-        if key in kernels:
-            samples = kernels[key].apply(rho_s)
-        else:
-            kernels[key], samples, kernel_info[key] = _build_kernel(
-                gen, gap, samples_per_cycle, rho_s, rho_A.matrix, substeps, step_tol
-            )
-        applies[key] = applies.get(key, 0) + 1
-        times += [start + frac * gap for frac in fractions]
-        states += _system_states(gen, samples)
-        if monitor_top_levels:
-            pops = np.real(np.diagonal(samples, axis1=-2, axis2=-1))[:, -monitor_top_levels:]
-            top_level_max = max(top_level_max, float(np.max(np.sum(pops, axis=-1))))
-        rho_s = states[-1].matrix
-
-    path = _path(gen)
-    n_blocks, size = gen.sectors.shape if path is _UNITARY else (1, gen.total_dim)
-    metadata = {
-        "resets": schedule.n_resets,
-        "samples_per_cycle": samples_per_cycle,
-        "path": path.name,
-        # sizes of the joint blocks propagated apart
-        "sectors": [int(size)] * n_blocks,
-        "kernels": {str(k): v for k, v in sorted(kernel_info.items())},
-        # cycles served by each kernel: its cache hits plus one
-        "kernel_applies": {str(k): v for k, v in sorted(applies.items())},
-    }
-    if monitor_top_levels:
-        metadata["top_level_max"] = top_level_max
-        metadata["cutoff_flag"] = top_level_max > CUTOFF_POPULATION_LIMIT
-    return Trajectory(np.array(times), states, metadata)
+    metadata: dict = {}
+    times, states = zip(*_reset_blocks(
+        gen, rho_S0, rho_A, schedule, metadata,
+        substeps, step_tol, samples_per_cycle, monitor_top_levels,
+    ))
+    return Trajectory(
+        np.concatenate(times), _StateStack(np.concatenate(states), gen.space_S), metadata
+    )
 
 
 def intra_cycle_trajectory(
@@ -776,5 +851,8 @@ def intra_cycle_trajectory(
             seg_info.append({"to": tau, **info})
         samples.append(reduced)
 
-    states = _system_states(gen, np.array(samples))
-    return Trajectory(np.array(pts), states, {"segments": seg_info, "cycle_dt": dt})
+    states = np.array(samples)
+    _check_density(states, **_STATE_TOLS)
+    return Trajectory(
+        np.array(pts), _StateStack(states, gen.space_S), {"segments": seg_info, "cycle_dt": dt}
+    )

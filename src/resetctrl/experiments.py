@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    _effective_evolver,
+    _effective_evolver,  # noqa: F401  (kept importable from here)
+    _effective_reference,
     chernoff_deviation,
     default_probes,
     dissipative_scaling,
@@ -34,10 +35,10 @@ from .analysis import (
     braced_switching_term,
 )
 from .config import ConfigError, ExperimentConfig, _require_grid, default_config, qubit_defaults
-from .dynamics import CUTOFF_POPULATION_LIMIT, ResetSchedule, _cycle_count, evolve_with_resets
+from .dynamics import CUTOFF_POPULATION_LIMIT, ResetSchedule, _cycle_count, _reset_blocks
 from .generators import effective_hamiltonian
 from .models import SIGMA_X, SIGMA_Y, SIGMA_Z, number_operator, quadrature_p, quadrature_x
-from .qcore import fidelity_pure, trace_norm
+from .qcore import _fidelities_pure, _purities, trace_norm
 
 
 class InvariantViolationError(RuntimeError):
@@ -73,29 +74,35 @@ def _states(cfg, model):
     return (cfg.states.build_rho_a(), *cfg.states.build_initial(model.cutoff))
 
 
-def _reset_trajectory(cfg, gen, rho0, rho_a, f):
-    """Evolve-and-reset at rate f, snapped to whole cycles.
+def _reset_rows(cfg, gen, rho0, rho_a, f, rows_of):
+    """Evolve-and-reset at rate f, snapped to whole cycles, reduced to rows block by block.
 
-    Returns (cycles, time, trajectory, violation), the last the Fock-cutoff
+    ``rows_of(times, states)`` gives the rows of one block of
+    ``dynamics._reset_blocks``, so no trajectory is held. Returns
+    (cycles, time, rows, metadata, violation), the last the Fock-cutoff
     verdict: None, or the message of a tripped population flag.
     """
     n, t_snap = cfg.schedule.snapped_cycles(f)
-    traj = evolve_with_resets(
+    metadata, rows = {}, []
+    for times, states in _reset_blocks(
         gen,
         rho0,
         rho_a,
         ResetSchedule.uniform(n, t_snap),
-        step_tol=cfg.tolerances.step_tol,
-        samples_per_cycle=cfg.schedule.samples_per_cycle,
-        monitor_top_levels=2 if cfg.model.kind == "oscillator_qubit" else None,
-    )
+        metadata,
+        None,
+        cfg.tolerances.step_tol,
+        cfg.schedule.samples_per_cycle,
+        2 if cfg.model.kind == "oscillator_qubit" else None,
+    ):
+        rows += rows_of(times, states)
     violation = None
-    if traj.metadata.get("cutoff_flag"):
+    if metadata.get("cutoff_flag"):
         violation = (
-            f"f={f}: top-two-level population {traj.metadata['top_level_max']:.3e} exceeds "
+            f"f={f}: top-two-level population {metadata['top_level_max']:.3e} exceeds "
             f"the limit {CUTOFF_POPULATION_LIMIT:.0e}; raise the cutoff"
         )
-    return n, t_snap, traj, violation
+    return n, t_snap, rows, metadata, violation
 
 
 # ---------------------------------------------------------------------------
@@ -131,54 +138,52 @@ _QUBIT_OBSERVABLES = (("sx", SIGMA_X), ("sy", SIGMA_Y), ("sz", SIGMA_Z))
 def _run_simulate(cfg, model, gen):
     rho_a, psi0, rho0 = _states(cfg, model)
     f = cfg.schedule.f_list[0]
-    n, t_snap, traj, violation = _reset_trajectory(cfg, gen, rho0, rho_a, f)
     observables = _QUBIT_OBSERVABLES
     if cfg.model.kind == "oscillator_qubit":
         observables = _oscillator_observables(model.cutoff)
-    refs = [None] * len(traj.states)
+    reference = None
     if psi0 is not None:
-        refs = _effective_evolver(effective_hamiltonian(gen, rho_a).matrix, traj.times, psi0)
+        reference = _effective_reference(effective_hamiltonian(gen, rho_a).matrix, psi0)
 
+    def rows_of(times, states):
+        if reference is None:
+            fid = np.full(times.size, np.nan)
+        else:
+            fid = _fidelities_pure(states, reference(times))
+        expectations = [np.einsum("ij,nji->n", obs, states).real for _, obs in observables]
+        return zip(times, fid, _purities(states), *expectations)
+
+    n, t_snap, rows, traj_meta, violation = _reset_rows(cfg, gen, rho0, rho_a, f, rows_of)
     header = ("t", "fidelity_eff", "purity") + tuple(name for name, _ in observables)
-    rows = []
-    for t, state, ref in zip(traj.times, traj.states, refs):
-        fid = float("nan")
-        if ref is not None:
-            fid = fidelity_pure(state, ref)
-        expectations = [
-            float(np.real(np.trace(obs @ state.matrix))) for _, obs in observables
-        ]
-        rows.append((t, fid, state.purity(), *expectations))
-    meta = {"f": f, "cycles": n, "snapped_time": t_snap, "trajectory": traj.metadata}
+    meta = {"f": f, "cycles": n, "snapped_time": t_snap, "trajectory": traj_meta}
     return _Result(header, rows, meta, violation=violation)
 
 
 def _run_fig1(cfg, model, gen):
     rho_a, psi0, rho0 = _states(cfg, model)
     _require_pure(psi0, "fig1")
-    h_eff = effective_hamiltonian(gen, rho_a).matrix
+    reference = _effective_reference(effective_hamiltonian(gen, rho_a).matrix, psi0)
 
     rows = []
     per_f_meta = {}
     progress = []
     violations = []
     for f in cfg.schedule.f_list:
-        n, t_snap, traj, violation = _reset_trajectory(cfg, gen, rho0, rho_a, f)
-        refs = _effective_evolver(h_eff, traj.times, psi0)
-        for t, state, ref in zip(traj.times, traj.states, refs):
-            rows.append((t, f, fidelity_pure(state, ref)))
+        n, t_snap, f_rows, traj_meta, violation = _reset_rows(
+            cfg, gen, rho0, rho_a, f,
+            lambda times, states: zip(times, [f] * times.size,
+                                      _fidelities_pure(states, reference(times))),
+        )
+        rows += f_rows
         per_f_meta[str(f)] = {
             "cycles": n,
             "snapped_time": t_snap,
             "requested_time": cfg.schedule.total_time,
-            **traj.metadata,
+            **traj_meta,
         }
         progress.append((f, n))
         if violation is not None:
             violations.append(violation)
-        # free this rate's states before the next rate's trajectory is built,
-        # so that two trajectories are never held at once
-        del traj, refs
     return _Result(
         ("t", "f", "fidelity"),
         rows,

@@ -174,17 +174,22 @@ class DensityMatrix:
         return self.op.space
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        return float(_purities(self.matrix[None])[0])
 
 
 def _check_density(m: np.ndarray, tol_herm: float, tol_trace: float, tol_psd: float):
     """Raise ValueError unless every matrix of the stack (n, d, d) is a valid state.
 
-    Hermiticity, unit trace and positivity are each reduced over the
-    whole stack at once; only a failure is traced back to the first
-    failing member, whose numbers the message gives, as for a single
-    ``DensityMatrix``.
+    Finiteness, hermiticity, unit trace and positivity are each reduced
+    over the whole stack at once; only a failure is traced back to the
+    first failing member, whose numbers the message gives, as for a
+    single ``DensityMatrix``. Finiteness comes first: a NaN compares
+    false with every tolerance, and an inf makes the later checks warn.
     """
+    finite = np.isfinite(m)
+    if not finite.all():
+        k = np.argmin(finite.all(axis=(-2, -1)))
+        raise ValueError(f"not finite: member {k} has entry {m[k][~finite[k]][0]}")
     m_dag = m.conj().swapaxes(-1, -2)
     asym = np.abs(m - m_dag)
     if asym.max() > tol_herm:
@@ -377,16 +382,27 @@ def fidelity_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
 
     ``psi`` must have unit norm within ``FIDELITY_NORM_TOL``.
     """
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.shape[0] != rho.space.total_dim:
+    v = np.asarray(psi, dtype=complex).reshape(1, -1)
+    return float(_fidelities_pure(rho.matrix[None], v)[0])
+
+
+def _fidelities_pure(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """``fidelity_pure`` of each state of a stack (n, d, d) with its row of ``psis`` (n, d)."""
+    if psis.shape[-1] != rhos.shape[-1]:
         raise ValueError(
-            f"state vector length {v.shape[0]} != state dimension {rho.space.total_dim}"
+            f"state vector length {psis.shape[-1]} != state dimension {rhos.shape[-1]}"
         )
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > FIDELITY_NORM_TOL:
-        raise ValueError(f"reference vector norm {norm:.12g} is not 1")
-    overlap = float(np.real(v.conj() @ rho.matrix @ v))
-    return math.sqrt(min(max(overlap, 0.0), 1.0))
+    norms = np.linalg.norm(psis, axis=-1)
+    bad = np.abs(norms - 1.0) > FIDELITY_NORM_TOL
+    if bad.any():
+        raise ValueError(f"reference vector norm {norms[np.argmax(bad)]:.12g} is not 1")
+    overlaps = np.einsum("ni,nij,nj->n", psis.conj(), rhos, psis).real
+    return np.sqrt(np.clip(overlaps, 0.0, 1.0))
+
+
+def _purities(rhos: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each state of a stack (n, d, d)."""
+    return np.einsum("nij,nji->n", rhos, rhos).real
 
 
 def ham_super(h: Operator) -> SuperOperator:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import weakref
 
 import numpy as np
@@ -1265,3 +1266,157 @@ def test_concurrent_trajectories_share_inputs(rng):
         parallel = list(pool.map(final_state, schedules))
     for a, b in zip(serial, parallel):
         np.testing.assert_array_equal(a, b)
+
+
+def _default_reset_run(cfg, samples_per_cycle=None):
+    """evolve_with_resets as simulate runs it on ``cfg``, at its first rate."""
+    model, gen = cfg.model.build()
+    rho_a = cfg.states.build_rho_a()
+    _, rho0 = cfg.states.build_initial(model.cutoff)
+    n, t = cfg.schedule.snapped_cycles(cfg.schedule.f_list[0])
+    return lambda: evolve_with_resets(
+        gen,
+        rho0,
+        rho_a,
+        ResetSchedule.uniform(n, t),
+        step_tol=cfg.tolerances.step_tol,
+        samples_per_cycle=samples_per_cycle or cfg.schedule.samples_per_cycle,
+        monitor_top_levels=2 if cfg.model.kind == "oscillator_qubit" else None,
+    )
+
+
+def _stack(traj):
+    return np.array([state.matrix for state in traj.states])
+
+
+class TestResetBlocks:
+    @pytest.mark.parametrize("make_cfg", [default_config, qubit_defaults])
+    def test_block_size_changes_no_state_and_no_metadata(self, make_cfg, monkeypatch):
+        run = _default_reset_run(make_cfg())
+        default = run()
+        for entries in (1, 2 ** 30):
+            monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", entries)
+            other = run()
+            assert np.array_equal(_stack(other), _stack(default))
+            assert np.array_equal(other.times, default.times)
+            assert other.metadata == default.metadata
+        if make_cfg is default_config:
+            assert default.metadata["top_level_max"] > 0.0
+
+    def test_blocks_hold_whole_cycles_up_to_the_entry_limit(self):
+        # d_S = 30 and 3 samples per cycle: 6 cycles (16,200 entries) per
+        # block, so the 100 cycles at f = 10 end in a partial block of 4
+        cfg = default_config()
+        model, gen = cfg.model.build()
+        _, rho0 = cfg.states.build_initial(model.cutoff)
+        rho_a = cfg.states.build_rho_a()
+        schedule = ResetSchedule.uniform(*cfg.schedule.snapped_cycles(10.0))
+        metadata = {}
+        blocks = list(dynamics._reset_blocks(
+            gen, rho0, rho_a, schedule, metadata, None, cfg.tolerances.step_tol, 3, 2
+        ))
+        sizes = [len(states) for _, states in blocks]
+        assert sizes == [1] + [18] * 16 + [12]
+        for times, states in blocks:
+            assert states.shape[1:] == (30, 30) and states.size <= dynamics._BLOCK_ENTRIES
+            assert not states.flags.writeable and times.shape == states.shape[:1]
+        assert metadata["resets"] == 100
+        traj = evolve_with_resets(
+            gen, rho0, rho_a, schedule, samples_per_cycle=3, monitor_top_levels=2
+        )
+        assert np.array_equal(np.concatenate([t for t, _ in blocks]), traj.times)
+        assert np.array_equal(np.concatenate([s for _, s in blocks]), _stack(traj))
+        assert metadata == traj.metadata
+
+    def test_one_check_per_block(self, monkeypatch):
+        calls = []
+        check = dynamics._check_density
+        monkeypatch.setattr(
+            dynamics, "_check_density", lambda m, **tols: calls.append(len(m)) or check(m, **tols)
+        )
+        _default_reset_run(default_config(), samples_per_cycle=3)()
+        assert calls == [18] * 16 + [12]
+
+    def test_states_are_built_only_when_read(self, monkeypatch):
+        run = _default_reset_run(qubit_defaults())
+        built = []
+        post_init = DensityMatrix.__post_init__
+        monkeypatch.setattr(
+            DensityMatrix, "__post_init__", lambda self, *a: built.append(1) or post_init(self, *a)
+        )
+        traj = run()
+        assert built == []
+        assert len(traj.states) == 41
+        first, last = traj.states[0], traj.states[-1]
+        assert len(built) == 2
+        assert not last.matrix.flags.writeable
+        assert isinstance(first, DensityMatrix) and first.space == HilbertSpace((2,))
+        tail = traj.states[-3:]
+        assert len(tail) == 3 and len(built) == 2
+        assert np.array_equal(tail[-1].matrix, last.matrix)
+        assert [s.purity() for s in traj.states] == [s.purity() for s in list(traj.states)]
+
+    @staticmethod
+    def _errors_with_a_bad_cycle(monkeypatch, gen, rho_a, rho0, schedule, spc, corrupt):
+        """The errors of a run whose third cycle is corrupted, checked per cycle and per block."""
+        apply = _CycleKernel.apply
+        applies = weakref.WeakKeyDictionary()
+
+        def corrupted(self, rho_s):
+            samples = apply(self, rho_s)
+            # a kernel's first apply is its calibration, which gives the first cycle
+            applies[self] = applies.get(self, 0) + 1
+            if applies[self] == 3:
+                samples = samples.copy()
+                corrupt(samples)
+            return samples
+
+        monkeypatch.setattr(_CycleKernel, "apply", corrupted)
+        messages = []
+        for entries in (1, dynamics._BLOCK_ENTRIES):  # one cycle per block, then one block
+            monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", entries)
+            applies.clear()
+            with pytest.raises(ValueError) as err:
+                evolve_with_resets(gen, rho0, rho_a, schedule, samples_per_cycle=spc)
+            messages.append(str(err.value))
+        return messages
+
+    @pytest.mark.parametrize("corrupt", ["trace", "nan_mid_cycle", "hermiticity_at_cycle_end"])
+    def test_a_bad_state_mid_block_raises_the_per_cycle_error(self, corrupt, monkeypatch):
+        def trace(samples):
+            samples *= 1.01
+
+        def nan_mid_cycle(samples):
+            samples[1, 1, 1] = np.nan
+
+        def hermiticity_at_cycle_end(samples):
+            samples[-1, 0, 1] += 0.1
+
+        gen, rho_a = generic_qq()
+        rho0 = DensityMatrix.pure(np.array([1.0, 0.0]), (2,))
+        messages = self._errors_with_a_bad_cycle(
+            monkeypatch, gen, rho_a, rho0, ResetSchedule.uniform(12, 1.2), 3, locals()[corrupt]
+        )
+        assert messages[0] == messages[1]
+        expected = {
+            "trace": r"^trace 1\.01\S* deviates from 1",
+            "nan_mid_cycle": r"^not finite: member 1 has entry",
+            "hermiticity_at_cycle_end": r"^not Hermitian: max asymmetry 1\.000e-01",
+        }[corrupt]
+        assert re.match(expected, messages[1])
+
+    def test_a_non_finite_state_stops_a_matrix_free_block(self, monkeypatch):
+        # the next matrix-free cycle would stall on it (ConvergenceError)
+        # before the block is checked
+        _, rho_a = generic_qq()
+        gen = dataclasses.replace(_rabi(12), jumps_A=reset_jumps(rho_a, 1.0))
+        assert _path(gen) is _MATVEC
+        rho0 = DensityMatrix.pure(np.eye(12)[0], (12,))
+
+        def nan_at_cycle_end(samples):
+            samples[-1, 0, 0] = np.nan
+
+        messages = self._errors_with_a_bad_cycle(
+            monkeypatch, gen, rho_a, rho0, ResetSchedule.uniform(5, 0.75), 1, nan_at_cycle_end
+        )
+        assert messages == ["not finite: member 0 has entry (nan+0j)"] * 2

@@ -567,3 +567,73 @@ def test_expm_hermitian_takes_a_stack(rng):
     assert got.shape == (3, 5, 5)
     for g, h in zip(got, hs):
         assert np.max(np.abs(g - expm_hermitian(h, -0.7j))) <= 1e-14
+
+
+class TestNonFiniteStates:
+    TOLS = (TOL_HERM, TOL_TRACE, TOL_PSD)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.full((2, 2), np.nan, dtype=complex),
+            np.array([[0.5, 0.0], [0.0, np.nan]], dtype=complex),
+            np.array([[0.5, np.inf], [0.0, 0.5]], dtype=complex),
+            np.array([[np.inf, 0.0], [0.0, 0.5]], dtype=complex),
+        ],
+        ids=["all_nan", "nan_diagonal", "inf_off_diagonal", "inf_diagonal"],
+    )
+    def test_raises_before_any_other_check(self, m):
+        # warnings are errors in this suite, so an inf that reached the
+        # hermiticity check would fail with a RuntimeWarning instead
+        with pytest.raises(ValueError, match="^not finite: member 0 has entry"):
+            _check_density(m[None], *self.TOLS)
+
+    def test_first_bad_member_is_named(self, rng):
+        stack = np.array([random_density(rng, 3) for _ in range(4)])
+        stack[2, 1, 1] = np.nan
+        stack[3, 0, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^not finite: member 2 has entry \(?nan"):
+            _check_density(stack, *self.TOLS)
+
+    def test_density_matrix_validation_rejects_them(self):
+        with pytest.raises(ValueError, match="not finite"):
+            DensityMatrix.from_matrix([[0.5, 0.0], [0.0, np.nan]])
+        with pytest.raises(ValueError, match="not finite"):
+            DensityMatrix.from_matrix([[np.inf, 0.0], [0.0, 0.5]])
+
+
+class TestStackedFidelity:
+    def test_each_member_is_fidelity_pure(self, rng):
+        from resetctrl.qcore import _fidelities_pure
+
+        rhos = np.array([random_density(rng, 4) for _ in range(6)])
+        psis = np.array([random_pure(rng, 4) for _ in range(6)])
+        got = _fidelities_pure(rhos, psis)
+        want = [fidelity_pure(DensityMatrix.from_matrix(r), p) for r, p in zip(rhos, psis)]
+        assert got.shape == (6,)
+        np.testing.assert_array_equal(got, want)
+
+    def test_checks_every_reference(self, rng):
+        from resetctrl.qcore import _fidelities_pure
+
+        rhos = np.array([random_density(rng, 2) for _ in range(3)])
+        psis = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="reference vector norm 2 is not 1"):
+            _fidelities_pure(rhos, psis)
+        with pytest.raises(ValueError, match="state vector length 3 != state dimension 2"):
+            _fidelities_pure(rhos, np.ones((3, 3)) / np.sqrt(3))
+
+    def test_clipped_to_the_unit_interval(self):
+        from resetctrl.qcore import _fidelities_pure
+
+        # not states: overlaps of -0.5 and 1.5 clip to 0 and 1
+        rhos = np.array([np.diag([-0.5, 1.5]), np.diag([1.5, -0.5])]).astype(complex)
+        psi = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        np.testing.assert_array_equal(_fidelities_pure(rhos, psi), [0.0, 1.0])
+
+    def test_purities_match_the_single_state_rule(self, rng):
+        from resetctrl.qcore import _purities
+
+        rhos = np.array([random_density(rng, 5) for _ in range(4)])
+        for got, rho in zip(_purities(rhos), rhos):
+            assert got == pytest.approx(np.trace(rho @ rho).real, abs=1e-15)
